@@ -132,25 +132,6 @@ def sum_nodes(nodes) -> Node:
     return Node(out, tuple(nodes), lambda g: tuple(g for _ in nodes))
 
 
-def matmul(x: Node, w: Node) -> Node:
-    if x.value.shape[-1] != w.value.shape[0]:
-        raise ShapeMismatch(f"matmul {x.value.shape} @ {w.value.shape}")
-    return Node(x.value @ w.value, (x, w),
-                lambda g: (g @ w.value.T, x.value.T @ g))
-
-
-def add_bias(x: Node, b: Node) -> Node:
-    """x (N,C) + b (C,) broadcast over rows."""
-    if x.value.shape[-1] != b.value.shape[0]:
-        raise ShapeMismatch(f"bias {b.value.shape} on {x.value.shape}")
-    return Node(x.value + b.value[None, :], (x, b),
-                lambda g: (g, g.sum(axis=0)))
-
-
-def affine(x: Node, w: Node, b: Node) -> Node:
-    return add_bias(matmul(x, w), b)
-
-
 def relu(x: Node) -> Node:
     mask = x.value > 0
     return Node(np.where(mask, x.value, 0.0), (x,), lambda g: (g * mask,))
@@ -243,14 +224,6 @@ def gather_rows(x: Node, idx, fill: float = 0.0) -> Node:
         return (gx,)
 
     return Node(v, (x,), bwd)
-
-
-def scatter_add_rows(x: Node, idx, n_out: int) -> Node:
-    """(N,C) rows scattered (with accumulation) into an (n_out,C) output."""
-    idx = np.asarray(idx, dtype=np.int64)
-    out = np.zeros((n_out, x.value.shape[1]), dtype=np.float64)
-    np.add.at(out, idx, x.value)
-    return Node(out, (x,), lambda g: (g[idx],))
 
 
 def rowwise_max(*nodes) -> Node:

@@ -33,18 +33,18 @@ def _checkpoint_path(arg: str) -> Path:
     return p
 
 
-def _atomic_write(path, data: bytes):
+def _atomic_output(path, write):
+    """Run write(tmp) on a temp file beside `path`, then rename it onto
+    `path`; on failure the temp file is removed and `path` is untouched."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."),
-                               prefix=path.name + ".")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
+        write(tmp)
         os.replace(tmp, path)
-    except BaseException:
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _load_blocks(ply_path):
@@ -78,66 +78,39 @@ def _cmd_encode(args):
         [(b.origin, b.tensor.coords, b.tensor.features.astype(np.int64))
          for b in blocks], model)
     elapsed = time.monotonic() - t0
-    _atomic_write(args.out, data)
+    _atomic_output(args.out, lambda tmp: Path(tmp).write_bytes(data))
     n = sum(len(b.tensor) for b in blocks)
     print(f"bpp: {codec.measure_bpp(data, n):.2f}")
     print(f"seconds: {elapsed:.2f}")
     return 0
 
 
-def _geometry_blocks(geometry_ply):
-    blocks = _load_blocks(geometry_ply)
-    return blocks
-
-
-def _write_decoded(blocks, decoded, out_path):
+def _decode_file(args, **scalable):
+    model = codec.ModelCheckpoint.load(_checkpoint_path(args.model)).model
+    blocks = _load_blocks(args.geometry)
+    data = Path(args.bitstream).read_bytes()
+    decoded = codec.decode_blocks(data, [b.tensor.coords for b in blocks],
+                                  model, **scalable)
     positions = np.concatenate(
         [np.asarray(origin) + b.tensor.coords
          for b, (origin, _) in zip(blocks, decoded)])
     colors = np.concatenate([rgb for _, rgb in decoded])
     pc = pc_io.PointCloud(positions, colors)
-    fd, tmp = tempfile.mkstemp(dir=Path(out_path).parent or Path("."))
-    os.close(fd)
-    pc_io.write_ply(pc, tmp)
-    os.replace(tmp, out_path)
+    _atomic_output(args.out, lambda tmp: pc_io.write_ply(pc, tmp))
+    return blocks, decoded
 
 
 def _cmd_decode(args):
-    model = codec.ModelCheckpoint.load(_checkpoint_path(args.model)).model
-    blocks = _geometry_blocks(args.geometry)
-    with open(args.bitstream, "rb") as f:
-        data = f.read()
-    decoded = codec.decode_blocks(data, [b.tensor.coords for b in blocks],
-                                  model)
+    blocks, decoded = _decode_file(args)
     lossless = all(
         np.array_equal(rgb, b.tensor.features.astype(np.int64))
         for b, (_, rgb) in zip(blocks, decoded))
-    _write_decoded(blocks, decoded, args.out)
     print(f"lossless: {str(lossless).lower()}")
     return 0
 
 
 def _cmd_decode_scalable(args):
-    model = codec.ModelCheckpoint.load(_checkpoint_path(args.model)).model
-    blocks = _geometry_blocks(args.geometry)
-    with open(args.bitstream, "rb") as f:
-        data = f.read()
-    if data[:4] != codec.FILE_MAGIC:
-        raise PcacError("expected a multi-block bitstream file")
-    import struct
-    _, count = struct.unpack_from("<BI", data, 4)
-    off = 9
-    decoded = []
-    for b in blocks[:count]:
-        ox, oy, oz, length = struct.unpack_from("<iiiI", data, off)
-        off += 16
-        stream = data[off:off + length]
-        off += length
-        truncated = codec.truncate_bitstream(stream, args.chunks)
-        rgb = codec.decode_scalable(b.tensor.coords, truncated, model,
-                                    mode=args.mode, seed=args.seed)
-        decoded.append(((ox, oy, oz), rgb))
-    _write_decoded(blocks[:count], decoded, args.out)
+    _decode_file(args, chunks=args.chunks, mode=args.mode, seed=args.seed)
     print(f"chunks used: {args.chunks}")
     return 0
 

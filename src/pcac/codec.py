@@ -5,6 +5,11 @@ the top latent is coded with a fixed uniform model, every other latent with
 the mixture predicted by the decoder one scale below, and finally the RGB
 features with the channel-autoregressive mixture. Geometry never enters the
 bitstream; it is a decode-side input.
+
+One top-down driver, `_top_down`, runs that chain for `encode`, `decode`,
+`decode_scalable` and `quantized_info_bits`. They differ only in what they do
+with the pmfs of each coding pass: write the known symbols, read them,
+estimate a chunk missing from the stream, or sum their information content.
 """
 
 from __future__ import annotations
@@ -21,10 +26,10 @@ from . import autodiff as ad
 from . import likelihood as lh
 from . import range_coder as rc
 from .errors import (ChecksumFailure, CorruptStream, DigestMismatch,
-                     EmptyGeometry, ModelMismatch, ShapeMismatch)
+                     ModelMismatch, ShapeMismatch)
 from .quantizer import QuantizerConfig, dequantize, quantize_hard, quantize_soft
 from .sparse_nn import KernelMapCache, ModelConfig, ScaleDecoder, ScaleEncoder
-from .tensor_core import build_pyramid
+from .tensor_core import build_pyramid, sort_coords
 
 MAGIC = b"MNET"
 FILE_MAGIC = b"MNEF"
@@ -119,19 +124,21 @@ def run_encoders(model: CodecModel, rgb, maps: KernelMapCache):
     return latents
 
 
-def run_decoders_coding(model: CodecModel, latent_values, maps: KernelMapCache):
-    """Top-down pass on dequantized latent arrays.
-
-    latent_values[n-1] is the (N_n, C) float array for scale n. Yields
-    (scale, raw parameter array) from the top scale down; the scale-n entry
-    parameterizes the content of level n-1 (latents, or RGB for n=1).
-    """
-    forwarded = None
-    for n in range(model.config.num_scales, 0, -1):
-        dec = model.decoders[n - 1]
-        params, forwarded = dec(ad.constant(latent_values[n - 1]),
-                                forwarded, maps)
-        yield n, params.value
+def _analyze(model: CodecModel, geometry, rgb_features):
+    """Encoder side of one block: its kernel maps, the top-scale latent
+    symbols, and an iterator over the symbols of every `_top_down` pass."""
+    geometry = np.asarray(geometry, dtype=np.int64).reshape(-1, 3)
+    rgb = np.asarray(rgb_features, dtype=np.int64)
+    if rgb.shape != (len(geometry), 3):
+        raise ShapeMismatch(f"features {rgb.shape} for {len(geometry)} points")
+    maps = KernelMapCache(build_pyramid(geometry, model.config.num_scales))
+    # geometry arrives in canonical order inside the pyramid; features must
+    # follow the same permutation
+    rgb = rgb[sort_coords(geometry)]
+    symbols = [quantize_hard(node.value, model.quantizer)[0]
+               for node in run_encoders(model, rgb, maps)]
+    passes = [s.reshape(-1) for s in symbols[-2::-1]] + list(rgb.T)
+    return maps, symbols[-1], iter(passes)
 
 
 # ---------------------------------------------------------------- container
@@ -140,9 +147,14 @@ def _chunk(payload: bytes) -> bytes:
     return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
 
 
-def _read_chunks(buf: bytes, offset: int, max_chunks: int):
+def _read_chunks(buf: bytes):
+    """Header fields and chunk payloads of one block stream; every byte after
+    the header must belong to one of at most num_scales + 1 framed chunks."""
+    header, offset = _parse_header(buf)
     chunks = []
-    while offset < len(buf) and len(chunks) < max_chunks:
+    while offset < len(buf):
+        if len(chunks) == header["num_scales"] + 1:
+            raise CorruptStream("trailing bytes after the last chunk")
         if offset + 8 > len(buf):
             raise CorruptStream("truncated chunk header")
         length, crc = struct.unpack_from("<II", buf, offset)
@@ -154,7 +166,7 @@ def _read_chunks(buf: bytes, offset: int, max_chunks: int):
         if zlib.crc32(payload) != crc:
             raise ChecksumFailure("chunk checksum mismatch")
         chunks.append(payload)
-    return chunks
+    return header, chunks
 
 
 def _header(model: CodecModel, level_counts) -> bytes:
@@ -171,6 +183,8 @@ def _parse_header(buf: bytes):
     version, num_scales = struct.unpack_from("<BB", buf, 4)
     if version != VERSION:
         raise CorruptStream(f"unsupported version {version}")
+    if len(buf) < header_size(num_scales):
+        raise CorruptStream("truncated header")
     off = 6
     counts = struct.unpack_from(f"<{num_scales + 1}I", buf, off)
     off += 4 * (num_scales + 1)
@@ -188,74 +202,55 @@ def header_size(num_scales: int) -> int:
 
 # ------------------------------------------------------------------- coding
 
-_CDF_CHUNK_ROWS = 2048  # pmf construction block size (memory bound for M=256)
+_CDF_CHUNK_ROWS = 2048  # points per pmf/CDF block (memory bound for M=256)
 
 
-def _latent_cdf_rows(params, cfg: ModelConfig, grid):
-    """(N*C, M+1) integer CDFs in coding order (point-major, channel-minor)."""
-    pmfs = lh.latent_pmfs(params, cfg.latent_channels, cfg.mixtures, grid)
-    n, c, m = pmfs.shape
-    return lh.build_cdf_table(pmfs.reshape(n * c, m))
+def _pmf_blocks(num_points: int, pmfs):
+    """pmfs(rows) over consecutive slices of points, as 2-D pmf row blocks."""
+    for lo in range(0, num_points, _CDF_CHUNK_ROWS):
+        block = pmfs(slice(lo, lo + _CDF_CHUNK_ROWS))
+        yield block.reshape(-1, block.shape[-1])
 
 
-def _code_latent_chunk(symbols, cdfs) -> bytes:
-    enc = rc.RangeEncoder()
-    for s, cdf in zip(symbols.reshape(-1), cdfs):
-        enc.encode_symbol(int(s), cdf)
-    return enc.finish()
-
-
-def _decode_latent_chunk(payload, cdfs, n, c):
-    dec = rc.RangeDecoder(payload)
-    out = np.array([dec.decode_symbol(cdf) for cdf in cdfs], dtype=np.int64)
-    return out.reshape(n, c)
-
-
-def _rgb_channel_cdfs(unpacked, channel, x_r=None, x_g=None,
-                      hasher=None):
-    n = len(unpacked["w_r"])
-    out = np.empty((n, 257), dtype=np.int64)
-    for lo in range(0, n, _CDF_CHUNK_ROWS):
-        hi = min(lo + _CDF_CHUNK_ROWS, n)
-        sub = {k: v[lo:hi] for k, v in unpacked.items()}
-        pmf = lh.rgb_channel_pmf(
-            sub, channel, lh.RGB_GRID,
-            x_r=None if x_r is None else x_r[lo:hi],
-            x_g=None if x_g is None else x_g[lo:hi])
-        out[lo:hi] = lh.build_cdf_table(pmf)
+def _cdf_rows(pmf_blocks, hasher=None):
+    cdfs = np.concatenate([lh.build_cdf_table(pmf) for pmf in pmf_blocks])
     if hasher is not None:
-        hasher.update(out.tobytes())
-    return out
+        hasher.update(cdfs.tobytes())
+    return cdfs
 
 
-def _encode_rgb(params, r, g, b, cfg: ModelConfig, hasher=None) -> bytes:
-    u = lh.unpack_rgb_params(params, cfg.mixtures)
-    x_r = lh.RGB_GRID.centers[r]
-    x_g = lh.RGB_GRID.centers[g]
-    enc = rc.RangeEncoder()
-    for channel, syms, kw in (("r", r, {}),
-                              ("g", g, dict(x_r=x_r)),
-                              ("b", b, dict(x_r=x_r, x_g=x_g))):
-        cdfs = _rgb_channel_cdfs(u, channel, hasher=hasher, **kw)
-        for s, cdf in zip(syms, cdfs):
-            enc.encode_symbol(int(s), cdf)
-    return enc.finish()
+def _top_down(model: CodecModel, maps: KernelMapCache, symbols, code_pass):
+    """The top-down pass of every coding entry point.
 
-
-def _decode_rgb(payload, params, cfg: ModelConfig, hasher=None):
-    u = lh.unpack_rgb_params(params, cfg.mixtures)
-    dec = rc.RangeDecoder(payload)
-
-    def pass_channel(channel, **kw):
-        cdfs = _rgb_channel_cdfs(u, channel, hasher=hasher, **kw)
-        return np.array([dec.decode_symbol(cdf) for cdf in cdfs],
-                        dtype=np.int64)
-
-    r = pass_channel("r")
-    g = pass_channel("g", x_r=lh.RGB_GRID.centers[r])
-    b = pass_channel("b", x_r=lh.RGB_GRID.centers[r],
-                     x_g=lh.RGB_GRID.centers[g])
-    return r, g, b
+    `symbols` are the top-scale latent symbols. From the top scale down,
+    each decoder runs on the dequantized symbols of the level above and
+    predicts the next level, which is coded in passes: one per latent level
+    (rows point-major, channel-minor), three for RGB (R, G given R, B given
+    R and G). code_pass(chunk, pmf_blocks) gets the pass's chunk index and
+    its pmf rows in blocks, and returns its symbols. Returns the RGB symbols.
+    """
+    cfg = model.config
+    forwarded = None
+    for n in range(cfg.num_scales, 0, -1):
+        params, forwarded = model.decoders[n - 1](
+            ad.constant(dequantize(symbols, model.quantizer)), forwarded, maps)
+        p = params.value
+        if n > 1:
+            symbols = code_pass(cfg.num_scales + 1 - n, _pmf_blocks(
+                len(p), lambda rows: lh.latent_pmfs(
+                    p[rows], cfg.latent_channels, cfg.mixtures,
+                    model.latent_grid)))
+            symbols = symbols.reshape(len(p), cfg.latent_channels)
+    u = lh.unpack_rgb_params(p, cfg.mixtures)
+    rgb = []
+    for channel in "rgb":
+        # the green and blue means shift with the channels coded before them
+        x = [lh.RGB_GRID.centers[s] for s in rgb]
+        rgb.append(code_pass(cfg.num_scales, _pmf_blocks(
+            len(p), lambda rows: lh.rgb_channel_pmf(
+                {k: v[rows] for k, v in u.items()}, channel, lh.RGB_GRID,
+                *(xi[rows] for xi in x)))))
+    return np.stack(rgb, axis=1)
 
 
 # ------------------------------------------------------------ encode/decode
@@ -263,109 +258,73 @@ def _decode_rgb(payload, params, cfg: ModelConfig, hasher=None):
 @dataclass
 class CodingDebug:
     cdf_sha256: str
-    chunk_sizes: list
 
 
 def encode(geometry, rgb_features, model: CodecModel,
            debug: bool = False):
     """Compress integer RGB features over known geometry into a bitstream."""
-    geometry = np.asarray(geometry, dtype=np.int64).reshape(-1, 3)
-    if len(geometry) == 0:
-        raise EmptyGeometry("nothing to encode")
-    rgb = np.asarray(rgb_features, dtype=np.int64)
-    if rgb.shape != (len(geometry), 3):
-        raise ShapeMismatch(f"features {rgb.shape} for {len(geometry)} points")
-    cfg = model.config
-    pyramid = build_pyramid(geometry, cfg.num_scales)
-    maps = KernelMapCache(pyramid)
-    # geometry arrives in canonical order inside the pyramid; features must
-    # follow the same permutation
-    from .tensor_core import sort_coords
-    perm = sort_coords(geometry)
-    rgb = rgb[perm]
-
-    latent_pre = run_encoders(model, rgb, maps)
-    symbols, values = [], []
-    for node in latent_pre:
-        s, v = quantize_hard(node.value, model.quantizer)
-        symbols.append(s)
-        values.append(v)
-
+    maps, top, passes = _analyze(model, geometry, rgb_features)
     hasher = hashlib.sha256() if debug else None
-    chunks = []
+    encoders = [rc.RangeEncoder() for _ in range(model.config.num_scales)]
+
+    def write(chunk, pmf_blocks):
+        syms = next(passes)
+        enc = encoders[chunk - 1]
+        for s, cdf in zip(syms, _cdf_rows(pmf_blocks, hasher)):
+            enc.encode_symbol(int(s), cdf)
+        return syms
+
+    _top_down(model, maps, top, write)
     # top scale: fixed uniform model
-    top = symbols[-1]
-    chunks.append(rc.encode_uniform(top.reshape(-1), cfg.num_bins))
-    for n, params in run_decoders_coding(model, values, maps):
-        if n > 1:
-            cdfs = _latent_cdf_rows(params, cfg, model.latent_grid)
-            if hasher is not None:
-                hasher.update(cdfs.tobytes())
-            chunks.append(_code_latent_chunk(symbols[n - 2], cdfs))
-        else:
-            chunks.append(_encode_rgb(params, rgb[:, 0], rgb[:, 1],
-                                      rgb[:, 2], cfg, hasher=hasher))
-    counts = [len(c) for c in pyramid.coords]
+    chunks = [rc.encode_uniform(top.reshape(-1), model.config.num_bins)]
+    chunks += [enc.finish() for enc in encoders]
+    counts = [len(c) for c in maps.pyramid.coords]
     stream = _header(model, counts) + b"".join(_chunk(c) for c in chunks)
     if debug:
-        return stream, CodingDebug(hasher.hexdigest(), [len(c) for c in chunks])
+        return stream, CodingDebug(hasher.hexdigest())
     return stream
 
 
-def _prepare_decode(geometry, bitstream, model: CodecModel, max_chunks):
-    header, off = _parse_header(bitstream)
+def _decode(geometry, bitstream, model: CodecModel, estimate=None,
+            hasher=None):
+    """decode and decode_scalable: the symbols of a chunk missing from the
+    stream (allowed only with `estimate`) come from estimate(pmf) per block."""
+    header, chunks = _read_chunks(bitstream)
     if header["digest"] != model.digest():
         raise DigestMismatch("bitstream was produced by a different model")
     cfg = model.config
     if header["num_scales"] != cfg.num_scales or \
             header["latent_alphabet"] != cfg.num_bins:
         raise ModelMismatch("container layout disagrees with the model config")
-    pyramid = build_pyramid(np.asarray(geometry, dtype=np.int64).reshape(-1, 3),
-                            cfg.num_scales)
+    pyramid = build_pyramid(geometry, cfg.num_scales)
     if tuple(header["counts"]) != tuple(len(c) for c in pyramid.coords):
         raise ModelMismatch("geometry does not match the encoded point counts")
-    chunks = _read_chunks(bitstream, off, max_chunks)
-    return pyramid, chunks
-
-
-def decode(geometry, bitstream, model: CodecModel, debug: bool = False):
-    """Exact inverse of encode; returns (N, 3) integer RGB in canonical order."""
-    cfg = model.config
-    pyramid, chunks = _prepare_decode(geometry, bitstream, model,
-                                      cfg.num_scales + 1)
-    if len(chunks) != cfg.num_scales + 1:
+    if not chunks or (estimate is None and len(chunks) != cfg.num_scales + 1):
         raise CorruptStream(
             f"expected {cfg.num_scales + 1} chunks, found {len(chunks)}")
-    maps = KernelMapCache(pyramid)
-    hasher = hashlib.sha256() if debug else None
 
     n_top = len(pyramid.coords[cfg.num_scales])
     top = rc.decode_uniform(chunks[0], n_top * cfg.latent_channels,
                             cfg.num_bins).reshape(n_top, cfg.latent_channels)
-    latent_symbols = [None] * cfg.num_scales
-    latent_symbols[-1] = top
-    values = [None] * cfg.num_scales
-    values[-1] = dequantize(top, model.quantizer)
+    decoders = [rc.RangeDecoder(c) for c in chunks[1:]]
 
-    forwarded = None
-    rgb = None
-    for n in range(cfg.num_scales, 0, -1):
-        dec_net = model.decoders[n - 1]
-        params, forwarded = dec_net(ad.constant(values[n - 1]), forwarded, maps)
-        chunk = chunks[cfg.num_scales + 1 - n]
-        if n > 1:
-            cdfs = _latent_cdf_rows(params.value, cfg, model.latent_grid)
-            if hasher is not None:
-                hasher.update(cdfs.tobytes())
-            n_lvl = len(pyramid.coords[n - 1])
-            latent_symbols[n - 2] = _decode_latent_chunk(
-                chunk, cdfs, n_lvl, cfg.latent_channels)
-            values[n - 2] = dequantize(latent_symbols[n - 2], model.quantizer)
-        else:
-            r, g, b = _decode_rgb(chunk, params.value, cfg, hasher=hasher)
-            rgb = np.stack([r, g, b], axis=1)
+    def read(chunk, pmf_blocks):
+        if chunk >= len(chunks):
+            return np.concatenate([estimate(pmf) for pmf in pmf_blocks])
+        dec = decoders[chunk - 1]
+        return np.array([dec.decode_symbol(cdf)
+                         for cdf in _cdf_rows(pmf_blocks, hasher)],
+                        dtype=np.int64)
+
+    return _top_down(model, KernelMapCache(pyramid), top, read)
+
+
+def decode(geometry, bitstream, model: CodecModel, debug: bool = False):
+    """Exact inverse of encode; returns (N, 3) integer RGB in canonical order."""
+    hasher = hashlib.sha256() if debug else None
+    rgb = _decode(geometry, bitstream, model, hasher=hasher)
     if debug:
-        return rgb, CodingDebug(hasher.hexdigest(), [len(c) for c in chunks])
+        return rgb, CodingDebug(hasher.hexdigest())
     return rgb
 
 
@@ -380,83 +339,31 @@ def decode_scalable(geometry, bitstream, model: CodecModel,
     """
     if mode not in ("mean", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
-    cfg = model.config
-    pyramid, chunks = _prepare_decode(geometry, bitstream, model,
-                                      cfg.num_scales + 1)
-    if not chunks:
-        raise CorruptStream("no decodable chunks")
-    maps = KernelMapCache(pyramid)
     rng = np.random.default_rng(seed)
 
-    n_top = len(pyramid.coords[cfg.num_scales])
-    top = rc.decode_uniform(chunks[0], n_top * cfg.latent_channels,
-                            cfg.num_bins).reshape(n_top, cfg.latent_channels)
-    values = [None] * cfg.num_scales
-    values[-1] = dequantize(top, model.quantizer)
-
-    def estimate_symbols(pmfs):
-        flat = pmfs.reshape(-1, pmfs.shape[-1])
+    def estimate(pmf):
         if mode == "mean":
-            exp = flat @ np.arange(flat.shape[-1], dtype=np.float64)
-            sym = np.clip(np.floor(exp + 0.5), 0, flat.shape[-1] - 1)
-            return sym.astype(np.int64).reshape(pmfs.shape[:-1])
-        cum = np.cumsum(flat, axis=-1)
-        u = rng.random((len(flat), 1)) * cum[:, -1:]
-        sym = (u > cum[:, :-1]).sum(axis=-1)
-        return sym.astype(np.int64).reshape(pmfs.shape[:-1])
-
-    forwarded = None
-    rgb = None
-    for n in range(cfg.num_scales, 0, -1):
-        dec_net = model.decoders[n - 1]
-        params, forwarded = dec_net(ad.constant(values[n - 1]), forwarded, maps)
-        chunk_i = cfg.num_scales + 1 - n
-        have = chunk_i < len(chunks)
-        if n > 1:
-            n_lvl = len(pyramid.coords[n - 1])
-            if have:
-                cdfs = _latent_cdf_rows(params.value, cfg, model.latent_grid)
-                sym = _decode_latent_chunk(chunks[chunk_i], cdfs, n_lvl,
-                                           cfg.latent_channels)
-            else:
-                pmfs = lh.latent_pmfs(params.value, cfg.latent_channels,
-                                      cfg.mixtures, model.latent_grid)
-                sym = estimate_symbols(pmfs)
-            values[n - 2] = dequantize(sym, model.quantizer)
+            exp = pmf @ np.arange(pmf.shape[-1], dtype=np.float64)
+            sym = np.clip(np.floor(exp + 0.5), 0, pmf.shape[-1] - 1)
         else:
-            if have:
-                r, g, b = _decode_rgb(chunks[chunk_i], params.value, cfg)
-            else:
-                u = lh.unpack_rgb_params(params.value, cfg.mixtures)
-                r = estimate_symbols(lh.rgb_channel_pmf(u, "r", lh.RGB_GRID))
-                x_r = lh.RGB_GRID.centers[r]
-                g = estimate_symbols(
-                    lh.rgb_channel_pmf(u, "g", lh.RGB_GRID, x_r=x_r))
-                x_g = lh.RGB_GRID.centers[g]
-                b = estimate_symbols(
-                    lh.rgb_channel_pmf(u, "b", lh.RGB_GRID, x_r=x_r, x_g=x_g))
-            rgb = np.stack([r, g, b], axis=1)
-    return rgb
+            cum = np.cumsum(pmf, axis=-1)
+            u = rng.random((len(pmf), 1)) * cum[:, -1:]
+            sym = (u > cum[:, :-1]).sum(axis=-1)
+        return sym.astype(np.int64)
+
+    return _decode(geometry, bitstream, model, estimate)
 
 
 def truncate_bitstream(bitstream: bytes, num_chunks: int) -> bytes:
-    """Prefix of the stream ending exactly after `num_chunks` chunks."""
-    header, off = _parse_header(bitstream)
-    end = off
-    for _ in range(num_chunks):
-        length, = struct.unpack_from("<I", bitstream, end)
-        end += 8 + length
-    return bitstream[:end]
+    """Prefix of the stream ending exactly after `num_chunks` chunks, or the
+    whole stream when it has no more chunks than that."""
+    header, chunks = _read_chunks(bitstream)
+    end = header_size(header["num_scales"])
+    return bitstream[:end + sum(8 + len(c) for c in chunks[:num_chunks])]
 
 
 def chunk_lengths(bitstream: bytes):
-    header, off = _parse_header(bitstream)
-    out = []
-    while off < len(bitstream):
-        length, = struct.unpack_from("<I", bitstream, off)
-        out.append(length)
-        off += 8 + length
-    return out
+    return [len(c) for c in _read_chunks(bitstream)[1]]
 
 
 def measure_bpp(bitstream: bytes, num_points: int) -> float:
@@ -479,7 +386,6 @@ def block_loss(model: CodecModel, geometry, rgb_features,
         pyramid = build_pyramid(np.asarray(geometry, dtype=np.int64)
                                 .reshape(-1, 3), cfg.num_scales)
         maps = KernelMapCache(pyramid)
-        from .tensor_core import sort_coords
         rgb = rgb[sort_coords(np.asarray(geometry).reshape(-1, 3))]
     latent_pre = run_encoders(model, rgb, maps)
     symbols = [quantize_hard(n.value, model.quantizer)[0] for n in latent_pre]
@@ -509,42 +415,18 @@ def quantized_info_bits(model: CodecModel, geometry, rgb_features) -> float:
     Sum over all coded symbols of -log2(freq/2^16) (uniform widths for the
     top scale); the coded payload can never be shorter than this.
     """
-    geometry = np.asarray(geometry, dtype=np.int64).reshape(-1, 3)
-    cfg = model.config
-    pyramid = build_pyramid(geometry, cfg.num_scales)
-    maps = KernelMapCache(pyramid)
-    from .tensor_core import sort_coords
-    rgb = np.asarray(rgb_features, dtype=np.int64)[sort_coords(geometry)]
+    maps, top, passes = _analyze(model, geometry, rgb_features)
+    # the uniform coder gives every symbol width 1 out of num_bins
+    total = top.size * float(np.log2(model.config.num_bins))
 
-    latent_pre = run_encoders(model, rgb, maps)
-    symbols, values = [], []
-    for node in latent_pre:
-        s, v = quantize_hard(node.value, model.quantizer)
-        symbols.append(s)
-        values.append(v)
+    def count(chunk, pmf_blocks):
+        nonlocal total
+        syms = next(passes)
+        freq = np.diff(_cdf_rows(pmf_blocks), axis=-1)
+        total += -np.log2(freq[np.arange(len(syms)), syms] / rc.TOTAL).sum()
+        return syms
 
-    # the uniform coder gives every symbol width 1 out of cfg.num_bins
-    total = symbols[-1].size * float(np.log2(cfg.num_bins))
-
-    for n, params in run_decoders_coding(model, values, maps):
-        if n > 1:
-            cdfs = _latent_cdf_rows(params, cfg, model.latent_grid)
-            freq = np.diff(cdfs, axis=-1)
-            rows = np.arange(len(cdfs))
-            total += -np.log2(
-                freq[rows, symbols[n - 2].reshape(-1)] / rc.TOTAL).sum()
-        else:
-            u = lh.unpack_rgb_params(params, cfg.mixtures)
-            r, g, b = rgb[:, 0], rgb[:, 1], rgb[:, 2]
-            x_r = lh.RGB_GRID.centers[r]
-            x_g = lh.RGB_GRID.centers[g]
-            for channel, syms, kw in (("r", r, {}),
-                                      ("g", g, dict(x_r=x_r)),
-                                      ("b", b, dict(x_r=x_r, x_g=x_g))):
-                cdfs = _rgb_channel_cdfs(u, channel, **kw)
-                freq = np.diff(cdfs, axis=-1)
-                rows = np.arange(len(cdfs))
-                total += -np.log2(freq[rows, syms] / rc.TOTAL).sum()
+    _top_down(model, maps, top, count)
     return float(total)
 
 
@@ -567,10 +449,16 @@ def encode_blocks(blocks, model: CodecModel) -> bytes:
     return b"".join(parts)
 
 
-def decode_blocks(data: bytes, blocks_geometry, model: CodecModel):
-    """Inverse of encode_blocks given the per-block geometry list."""
-    if data[:4] != FILE_MAGIC:
-        raise CorruptStream("bad file magic")
+def decode_blocks(data: bytes, blocks_geometry, model: CodecModel,
+                  chunks: int | None = None, mode: str = "mean",
+                  seed: int = 0):
+    """Inverse of encode_blocks given the per-block geometry list.
+
+    chunks=None decodes losslessly; otherwise each block is cut to its first
+    `chunks` chunks and decoded by decode_scalable with `mode` and `seed`.
+    """
+    if len(data) < 9 or data[:4] != FILE_MAGIC:
+        raise CorruptStream("bad or truncated file header")
     version, count = struct.unpack_from("<BI", data, 4)
     if version != VERSION:
         raise CorruptStream(f"unsupported file version {version}")
@@ -579,9 +467,18 @@ def decode_blocks(data: bytes, blocks_geometry, model: CodecModel):
     off = 9
     out = []
     for geometry in blocks_geometry:
-        ox, oy, oz, length = struct.unpack_from("<iiiI", data, off)
+        if off + 16 > len(data):
+            raise CorruptStream("truncated block record")
+        *origin, length = struct.unpack_from("<iiiI", data, off)
         off += 16
         stream = data[off:off + length]
         off += length
-        out.append(((ox, oy, oz), decode(geometry, stream, model)))
+        if chunks is None:
+            rgb = decode(geometry, stream, model)
+        else:
+            rgb = decode_scalable(geometry, truncate_bitstream(stream, chunks),
+                                  model, mode=mode, seed=seed)
+        out.append((tuple(origin), rgb))
+    if off != len(data):
+        raise CorruptStream("trailing bytes after the last block")
     return out

@@ -175,18 +175,3 @@ def partition_blocks(tensor: SparseTensor, size: int = 64):
         blocks.append(Block(origin, build_sparse_tensor(
             local, tensor.features[rows])))
     return blocks
-
-
-def assemble_blocks(blocks) -> SparseTensor:
-    """Inverse of partition_blocks."""
-    coords = np.concatenate([b.origin + b.tensor.coords for b in blocks])
-    feats = np.concatenate([b.tensor.features for b in blocks])
-    return build_sparse_tensor(coords, feats)
-
-
-def write_block_manifest(blocks, path):
-    """Text bookkeeping: one 'x y z count' line per block."""
-    with open(path, "w") as f:
-        for b in blocks:
-            ox, oy, oz = (int(v) for v in b.origin)
-            f.write(f"{ox} {oy} {oz} {len(b.tensor)}\n")

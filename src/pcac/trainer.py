@@ -92,6 +92,11 @@ def train(blocks, config: TrainConfig | None = None,
     bad_epochs = 0
     start = time.monotonic()
     history = []
+    # One block that is also the validation set: each validation pass is
+    # exactly the next epoch's training forward pass (same weights, same
+    # block), so its graph is carried over instead of being rebuilt.
+    reuse = val is tr and len(tr) == 1
+    carried = None
 
     for epoch in range(config.max_epochs):
         perm = rng.permutation(len(tr))
@@ -100,7 +105,8 @@ def train(blocks, config: TrainConfig | None = None,
             for p in params:
                 p.grad = None
             for d in batch:
-                loss, _ = _total_loss(model, d)
+                loss, _ = carried or _total_loss(model, d)
+                carried = None
                 backward(loss)
             for p in params:
                 if p.grad is not None:
@@ -112,6 +118,8 @@ def train(blocks, config: TrainConfig | None = None,
         val_points = 0
         for d in val:
             loss, const = _total_loss(model, d)
+            if reuse:
+                carried = (loss, const)
             val_bits += float(loss.value) + const
             val_points += d.num_points
         val_bpp = val_bits / val_points

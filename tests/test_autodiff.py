@@ -49,21 +49,10 @@ def test_unary_primitives_match_fd():
     check_unary(lambda n: ad.reshape(n, (2, 10)), x)
 
 
-def test_binary_and_matmul_grads():
+def test_binary_grads():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(3, 4))
-    w = rng.normal(size=(4, 2))
-    bias = rng.normal(size=2)
-
-    na, nw, nb = ad.Node(a), ad.Node(w), ad.Node(bias)
-    out = ad.sum_all(ad.affine(na, nw, nb))
-    ad.backward(out)
-    # [DERIVED] closed forms: d(sum(xW+b))/dx = 1 @ W.T etc.
-    np.testing.assert_allclose(na.grad, np.ones((3, 2)) @ w.T, atol=1e-12)
-    np.testing.assert_allclose(nw.grad, a.T @ np.ones((3, 2)), atol=1e-12)
-    np.testing.assert_allclose(nb.grad, np.full(2, 3.0), atol=1e-12)
-
     for op in (ad.add, ad.sub, ad.mul):
         na, nb2 = ad.Node(a), ad.Node(b)
         ad.backward(ad.sum_all(op(na, nb2)))
@@ -88,13 +77,6 @@ def test_gather_scatter_concat_grads():
         if i >= 0:
             expect[i] += w[j]
     np.testing.assert_allclose(n.grad, expect, atol=1e-12)
-
-    n = ad.Node(x)
-    out = ad.scatter_add_rows(n, np.array([1, 1, 0, 3, 3]), 4)
-    assert np.allclose(out.value[1], x[0] + x[1])
-    assert np.allclose(out.value[2], 0.0)
-    ad.backward(ad.sum_all(out))
-    np.testing.assert_allclose(n.grad, np.ones_like(x))
 
     a, b = ad.Node(x[:, :2]), ad.Node(x[:, 2:])
     cat = ad.concat_cols(a, b)

@@ -124,3 +124,46 @@ def test_self_check(capsys):
     out = capsys.readouterr().out
     assert "ok: codec round trip" in out
     assert "FAIL" not in out
+
+
+def _encode_workspace_cloud(workspace, tmp_path):
+    bitstream = tmp_path / "cloud.bin"
+    assert cli.main(["encode", str(workspace / "data" / "cloud.ply"),
+                     "--model", str(workspace / "model.npz"),
+                     "--out", str(bitstream)]) == 0
+    return bitstream
+
+
+def test_decode_scalable_checks_block_count(workspace, tmp_path, capsys):
+    bitstream = _encode_workspace_cloud(workspace, tmp_path)
+    # one more point in a second 64^3 block: two blocks against a 1-block file
+    cloud = pc_io.read_ply(workspace / "data" / "cloud.ply")
+    geometry = tmp_path / "two_blocks.ply"
+    pc_io.write_ply(pc_io.PointCloud(
+        np.vstack([cloud.positions, [[100.0, 0.0, 0.0]]]),
+        np.vstack([cloud.colors, [[0, 0, 0]]])), geometry)
+    out = tmp_path / "lossy.ply"
+    assert cli.main(["decode-scalable", str(geometry), str(bitstream),
+                     "--model", str(workspace / "model.npz"),
+                     "--out", str(out), "--chunks", "2"]) == 2
+    assert "ModelMismatch" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_ply_write_leaves_no_file(workspace, tmp_path, monkeypatch):
+    bitstream = _encode_workspace_cloud(workspace, tmp_path)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+
+    def failing_write_ply(pc, path):
+        with open(path, "wb") as f:
+            f.write(b"ply\n")  # partial output, then the disk fills up
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(pc_io, "write_ply", failing_write_ply)
+    for command in (["decode"], ["decode-scalable", "--chunks", "2"]):
+        assert cli.main(command + [
+            str(workspace / "data" / "cloud.ply"), str(bitstream),
+            "--model", str(workspace / "model.npz"),
+            "--out", str(out_dir / "decoded.ply")]) == 2
+        assert list(out_dir.iterdir()) == []

@@ -115,6 +115,41 @@ def test_chunk_structure_and_truncation(model):
         trunc = codec.truncate_bitstream(stream, k)
         assert len(trunc) == hdr + sum(lengths[:k]) + 8 * k
     assert codec.truncate_bitstream(stream, 4) == stream
+    assert codec.truncate_bitstream(stream, 9) == stream
+
+
+# malformed input -> CorruptStream, never a struct.error or a silent accept
+MALFORMED = {
+    "header cut to 10 bytes": lambda c, s, f, m: codec.decode(c, s[:10], m),
+    "header cut to 20 bytes": lambda c, s, f, m: codec.decode(c, s[:20], m),
+    "truncating a cut header": lambda c, s, f, m: codec.truncate_bitstream(
+        s[:20], 1),
+    "lengths of a cut chunk": lambda c, s, f, m: codec.chunk_lengths(s[:-3]),
+    "block with trailing bytes": lambda c, s, f, m: codec.decode(
+        c, s + b"\0", m),
+    "scalable block with trailing bytes": lambda c, s, f, m:
+        codec.decode_scalable(c, s + bytes(9), m),
+    "file under 9 bytes": lambda c, s, f, m: codec.decode_blocks(f[:8], [c], m),
+    "cut block record": lambda c, s, f, m: codec.decode_blocks(
+        f[:9 + 10], [c], m),
+    "file with trailing bytes": lambda c, s, f, m: codec.decode_blocks(
+        f + b"\0", [c], m),
+}
+
+
+@pytest.fixture(scope="module")
+def coded(model):
+    """A block's geometry, its stream, and a one-block file of it."""
+    rng = np.random.default_rng(12)
+    coords, rgb = random_block(rng, lo=20, hi=40)
+    return (coords, codec.encode(coords, rgb, model),
+            codec.encode_blocks([((0, 0, 0), coords, rgb)], model))
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_raises_corrupt_stream(case, model, coded):
+    with pytest.raises(CorruptStream):
+        MALFORMED[case](*coded, model)
 
 
 def test_scalable_decode_modes(model):

@@ -1,0 +1,77 @@
+"""Golden parity: streams, CDF hashes, info bits and scalable decodes are pinned.
+
+Any change to what the codec computes (numerics, chunk layout, rng draw
+order) fails here. Such a change must bump `codec.VERSION` and regenerate
+the fixture with `PYTHONPATH=src python tests/test_golden.py`.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from pcac import codec
+from pcac.sparse_nn import ModelConfig
+
+FIXTURE = Path(__file__).parent / "data" / "golden.json"
+CFG = ModelConfig(hidden=8, res_blocks=1, mixtures=2)
+BLOCKS = ("small", "large")
+
+
+def short_hash(data) -> str:
+    return hashlib.sha256(bytes(data)).hexdigest()[:16]
+
+
+def block(name):
+    rng = np.random.default_rng(BLOCKS.index(name))
+    if name == "small":
+        coords = np.unique(rng.integers(0, 16, size=(320, 3)), axis=0)
+    else:
+        # one point in every level-1 voxel of a 13^3 cube: levels 0 and 1
+        # both hold 2197 points, more than the 2048 of a pmf/CDF block
+        cube = np.stack(np.meshgrid(*[np.arange(13)] * 3, indexing="ij"),
+                        axis=-1).reshape(-1, 3)
+        coords = 2 * cube + rng.integers(0, 2, size=cube.shape)
+    base = 128 + 90 * np.sin(coords.sum(axis=1, keepdims=True) / 9.0)
+    rgb = np.clip(base + rng.integers(-12, 12, size=(len(coords), 3)),
+                  0, 255).astype(np.int64)
+    return coords, rgb
+
+
+def record(name, model):
+    coords, rgb = block(name)
+    stream, enc = codec.encode(coords, rgb, model, debug=True)
+    _, dec = codec.decode(coords, stream, model, debug=True)
+    scalable = {}
+    for mode, seed in (("mean", 0), ("sample", 7)):
+        scalable[mode] = [short_hash(np.ascontiguousarray(codec.decode_scalable(
+            coords, codec.truncate_bitstream(stream, k), model, mode=mode,
+            seed=seed), dtype=np.int64)) for k in (1, 2, 3)]
+    return {"points": len(coords),
+            "stream": short_hash(stream),
+            "encode_cdf": enc.cdf_sha256[:16],
+            "decode_cdf": dec.cdf_sha256[:16],
+            "info_bits": repr(codec.quantized_info_bits(model, coords, rgb)),
+            "scalable": scalable}
+
+
+@pytest.fixture(scope="module")
+def model():
+    return codec.CodecModel(CFG, seed=3)
+
+
+@pytest.mark.parametrize("name", BLOCKS)
+def test_golden_parity(name, model):
+    expected = json.loads(FIXTURE.read_text())
+    assert codec.VERSION == expected["version"]
+    assert record(name, model) == expected[name]
+
+
+if __name__ == "__main__":
+    golden = {"version": codec.VERSION}
+    golden.update({name: record(name, codec.CodecModel(CFG, seed=3))
+                   for name in BLOCKS})
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(json.dumps(golden, sort_keys=True) + "\n")

@@ -102,8 +102,10 @@ def test_partition_blocks_covers_and_localizes():
     for b in blocks:
         assert np.all(b.origin % 64 == 0)
         assert b.tensor.coords.min() >= 0 and b.tensor.coords.max() < 64
-    # assembly is the exact inverse
-    back = pc_io.assemble_blocks(blocks)
+    # origin + local coords reassemble the input exactly
+    back = build_sparse_tensor(
+        np.concatenate([b.origin + b.tensor.coords for b in blocks]),
+        np.concatenate([b.tensor.features for b in blocks]))
     np.testing.assert_array_equal(back.coords, t.coords)
     np.testing.assert_array_equal(back.features, t.features)
 
@@ -114,12 +116,3 @@ def test_partition_boundary_points():
     blocks = pc_io.partition_blocks(t, 64)
     assert [b.origin.tolist() for b in blocks] == [[0, 0, 0], [64, 0, 0]]
     assert blocks[1].tensor.coords.tolist() == [[0, 0, 0]]
-
-
-def test_block_manifest(tmp_path):
-    t = build_sparse_tensor([[0, 0, 0], [70, 0, 0], [71, 0, 0]],
-                            [[0.0], [0.0], [0.0]])
-    blocks = pc_io.partition_blocks(t, 64)
-    path = tmp_path / "manifest.txt"
-    pc_io.write_block_manifest(blocks, path)
-    assert path.read_text() == "0 0 0 1\n64 0 0 2\n"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pcac import autodiff as ad
 from pcac import codec, pc_io, trainer
 from pcac.errors import EmptyDataset
 from pcac.sparse_nn import ModelConfig
@@ -56,6 +57,40 @@ def test_early_stopping_restores_best_epoch():
     assert codec.estimate_bits(ckpt.model, *block) / len(block[0]) == \
         pytest.approx(best, rel=1e-9)
     assert ckpt.metadata["epoch"] <= ckpt.metadata["epochs_run"] - 1
+
+
+def test_single_block_training_reuses_validation_pass(monkeypatch):
+    # one block validates on itself: each validation pass doubles as the next
+    # epoch's training pass, and training ends where rebuilding it would
+    rng = np.random.default_rng(5)
+    block = smooth_block(rng)
+    cfg = trainer.TrainConfig(max_epochs=3, patience=3, seed=0)
+    calls = []
+    real_loss = trainer.block_loss
+    monkeypatch.setattr(trainer, "block_loss",
+                        lambda *a, **k: calls.append(1) or real_loss(*a, **k))
+    ckpt = trainer.train([block], cfg, model=codec.CodecModel(CFG, seed=0))
+    assert len(calls) == 1 + 3  # first training pass, then one per epoch
+    monkeypatch.undo()
+
+    # reference: the same Adam updates with every forward pass rebuilt
+    model = codec.CodecModel(CFG, seed=0)
+    data = trainer._BlockData(*block, model.config.num_scales)
+    params = model.parameters()
+    val_bpp, weights = [], []
+    for epoch in range(3):
+        for p in params:
+            p.grad = None
+        ad.backward(trainer._total_loss(model, data)[0])
+        ad.adam_step(params, cfg.adam(), epoch)
+        model.mark_dirty()
+        loss, const = trainer._total_loss(model, data)
+        val_bpp.append((float(loss.value) + const) / data.num_points)
+        weights.append([p.value.copy() for p in params])
+    best = int(np.argmin(val_bpp))
+    assert ckpt.metadata["val_bits_per_point"] == val_bpp[best]
+    assert all(np.array_equal(p.value, w)
+               for p, w in zip(ckpt.model.parameters(), weights[best]))
 
 
 def test_train_accepts_pc_io_blocks_and_rejects_empty():
