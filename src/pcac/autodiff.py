@@ -38,14 +38,15 @@ class Node:
 
 
 class Parameter(Node):
-    """Trainable leaf with Adam state."""
+    """Trainable leaf with Adam state; the moments `m` and `v` are allocated
+    by the first `adam_step`, so a model that is never trained holds none."""
 
     __slots__ = ("m", "v", "t")
 
     def __init__(self, value):
         super().__init__(np.array(value, dtype=np.float64))
-        self.m = np.zeros_like(self.value)
-        self.v = np.zeros_like(self.value)
+        self.m = None
+        self.v = None
         self.t = 0
 
     def zero_grad(self):
@@ -280,6 +281,9 @@ def adam_step(params, config: AdamConfig, epoch: int = 0):
         g = p.grad
         if g is None:
             continue
+        if p.m is None:
+            p.m = np.zeros_like(p.value)
+            p.v = np.zeros_like(p.value)
         p.t += 1
         p.m = config.beta1 * p.m + (1 - config.beta1) * g
         p.v = config.beta2 * p.v + (1 - config.beta2) * g * g

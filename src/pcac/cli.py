@@ -35,12 +35,17 @@ def _checkpoint_path(arg: str) -> Path:
 
 def _atomic_output(path, write):
     """Run write(tmp) on a temp file beside `path`, then rename it onto
-    `path`; on failure the temp file is removed and `path` is untouched."""
+    `path`; on failure the temp file is removed and `path` is untouched.
+    The file gets the mode a plain open() would give it (0o666 less the
+    umask); mkstemp alone would leave it 0o600."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     os.close(fd)
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         write(tmp)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

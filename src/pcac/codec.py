@@ -66,21 +66,70 @@ class CodecModel:
         self._digest_cache = None
 
     def digest(self) -> bytes:
-        """8-byte content digest over config + all weights, order-canonical."""
+        """8-byte content digest over config + all weights, order-canonical.
+
+        Each conv weight is hashed as its per-offset kernels under their
+        historical names (see `_per_offset_arrays`), so the digest, and with
+        it every stream header, is that of the per-offset weight layout."""
         if self._digest_cache is not None:
             return self._digest_cache
         h = hashlib.sha256()
         h.update(json.dumps(self.config.to_dict(), sort_keys=True).encode())
         h.update(json.dumps(self.quantizer.to_dict(), sort_keys=True).encode())
-        for name, p in sorted(self.named_parameters()):
+        for name, value in sorted(_per_offset_arrays(self),
+                                  key=lambda item: item[0]):
             h.update(name.encode())
-            h.update(np.ascontiguousarray(p.value, dtype=np.float64).tobytes())
+            h.update(np.ascontiguousarray(value, dtype=np.float64))
         self._digest_cache = h.digest()[:8]
         return self._digest_cache
 
 
+def _per_offset_arrays(model: CodecModel):
+    """(name, array) of every weight in the per-offset layout: a conv's
+    `prefix.weight` of shape (K, c_in, c_out) as its kernels prefix.w00 ..
+    prefix.w{K-1}. Checkpoints written before the stacked layout store
+    exactly these arrays."""
+    for name, p in model.named_parameters():
+        prefix, _, field = name.rpartition(".")
+        if field == "weight":
+            yield from zip(_offset_names(prefix, len(p.value)), p.value)
+        else:
+            yield name, p.value
+
+
+def _offset_names(prefix: str, num_offsets: int):
+    return [f"{prefix}.w{i:02d}" for i in range(num_offsets)]
+
+
+def _stored_array(data, names, name: str, shape):
+    """Parameter `name` of a checkpoint archive holding the arrays `names`,
+    checked against `shape`; a conv weight stored per offset is stacked from
+    its kernels."""
+    prefix, _, field = name.rpartition(".")
+    if name in names:
+        return _checked(data[name], name, shape)
+    if field != "weight":
+        raise ModelMismatch(f"checkpoint has no array {name!r}")
+    keys = _offset_names(prefix, shape[0])
+    missing = [k for k in keys if k not in names]
+    if missing:
+        raise ModelMismatch(f"checkpoint has no array {missing[0]!r}")
+    return np.stack([_checked(data[k], k, shape[1:]) for k in keys])
+
+
+def _checked(array, name: str, shape):
+    if array.shape != shape:
+        raise ModelMismatch(f"checkpoint array {name!r} has shape "
+                            f"{array.shape}, the model needs {shape}")
+    return array
+
+
 @dataclass
 class ModelCheckpoint:
+    """A model and its metadata in one .npz archive: one array per parameter
+    (a conv weight as one (K, c_in, c_out) array), stored uncompressed, plus
+    JSON metadata with the config, quantizer and weight digest."""
+
     model: CodecModel
     metadata: dict = field(default_factory=dict)
 
@@ -90,17 +139,24 @@ class ModelCheckpoint:
         meta["config"] = self.model.config.to_dict()
         meta["quantizer"] = self.model.quantizer.to_dict()
         meta["digest"] = self.model.digest().hex()
-        np.savez_compressed(path, __meta__=json.dumps(meta, sort_keys=True),
-                            **arrays)
+        # the weights are float64 noise: compression saved under 5% and
+        # took most of the load time
+        np.savez(path, __meta__=json.dumps(meta, sort_keys=True), **arrays)
 
     @classmethod
     def load(cls, path) -> "ModelCheckpoint":
+        """Read a checkpoint, stacked or per-offset layout, compressed or not;
+        a missing or misshapen array raises ModelMismatch, weights that do
+        not match the stored digest raise DigestMismatch."""
         with np.load(path, allow_pickle=False) as data:
+            names = set(data.files)
+            if "__meta__" not in names:
+                raise ModelMismatch("checkpoint has no metadata")
             meta = json.loads(str(data["__meta__"]))
             model = CodecModel(ModelConfig.from_dict(meta.pop("config")))
             model.quantizer = QuantizerConfig.from_dict(meta.pop("quantizer"))
             for name, p in model.named_parameters():
-                p.value[...] = data[name]
+                p.value[...] = _stored_array(data, names, name, p.value.shape)
             model.mark_dirty()
         stored = meta.pop("digest", None)
         if stored is not None and stored != model.digest().hex():
@@ -174,7 +230,8 @@ def _header(model: CodecModel, level_counts) -> bytes:
     return (MAGIC + struct.pack("<BB", VERSION, n_levels - 1)
             + struct.pack(f"<{n_levels}I", *level_counts)
             + model.digest()
-            + struct.pack("<HH", 256, model.config.num_bins))
+            + struct.pack("<HH", lh.RGB_GRID.num_symbols,
+                          model.config.num_bins))
 
 
 def _parse_header(buf: bytes):
@@ -294,7 +351,8 @@ def _decode(geometry, bitstream, model: CodecModel, estimate=None,
         raise DigestMismatch("bitstream was produced by a different model")
     cfg = model.config
     if header["num_scales"] != cfg.num_scales or \
-            header["latent_alphabet"] != cfg.num_bins:
+            header["latent_alphabet"] != cfg.num_bins or \
+            header["f_alphabet"] != lh.RGB_GRID.num_symbols:
         raise ModelMismatch("container layout disagrees with the model config")
     pyramid = build_pyramid(geometry, cfg.num_scales)
     if tuple(header["counts"]) != tuple(len(c) for c in pyramid.coords):

@@ -137,7 +137,8 @@ class KernelMapCache:
 
 
 class SparseConv:
-    """Generalized sparse convolution with one weight matrix per offset."""
+    """Generalized sparse convolution; `weight[o]` is offset o's
+    (c_in, c_out) matrix, as kernel_offsets orders them."""
 
     def __init__(self, c_in: int, c_out: int, kernel_size: int, rng,
                  weight_scale: float = 1.0):
@@ -146,50 +147,46 @@ class SparseConv:
         self.kernel_size = kernel_size
         n_off = len(kernel_offsets(kernel_size))
         limit = weight_scale * np.sqrt(6.0 / (c_in * n_off))
-        self.weights = [Parameter(rng.uniform(-limit, limit, (c_in, c_out)))
-                        for _ in range(n_off)]
+        self.weight = Parameter(rng.uniform(-limit, limit,
+                                            (n_off, c_in, c_out)))
         self.bias = Parameter(np.zeros(c_out))
 
     def parameters(self):
-        return self.weights + [self.bias]
+        return [self.weight, self.bias]
 
     def named_parameters(self, prefix: str):
-        out = [(f"{prefix}.w{i:02d}", w) for i, w in enumerate(self.weights)]
-        out.append((f"{prefix}.bias", self.bias))
-        return out
+        return [(f"{prefix}.weight", self.weight), (f"{prefix}.bias", self.bias)]
 
     def __call__(self, x: Node, fmap: FusedKernelMap) -> Node:
         """out[j] = bias + sum_o sum_{(i,j) in map[o]} x[i] @ W_o.
 
         One fused node: gather all pairs, per-offset matmul, segment-sum
-        scatter. Gradients route back through the same index plans.
+        scatter. Gradients route back through the same index plans; the
+        weight gradient is zero at offsets the map does not use.
         """
         if x.value.shape[1] != self.c_in:
             raise ShapeMismatch(
                 f"conv expects {self.c_in} input channels, got {x.value.shape[1]}")
-        n_out = fmap.n_out
+        w = self.weight.value
         slices = fmap.offset_slices
-        live = [self.weights[oi] for _, _, oi in slices]
         gathered = x.value[fmap.rows_in]
         prod = np.empty((len(gathered), self.c_out), dtype=np.float64)
-        for (a, b, _), w in zip(slices, live):
-            prod[a:b] = gathered[a:b] @ w.value
-        out = FusedKernelMap.scatter(prod, fmap.out_plan, n_out)
+        for a, b, oi in slices:
+            prod[a:b] = gathered[a:b] @ w[oi]
+        out = FusedKernelMap.scatter(prod, fmap.out_plan, fmap.n_out)
         out += self.bias.value
 
         def bwd(g):
             g_pairs = g[fmap.rows_out]
             gx_pairs = np.empty((len(gathered), self.c_in), dtype=np.float64)
-            grads = [None]  # placeholder for x
-            for (a, b, _), w in zip(slices, live):
-                gx_pairs[a:b] = g_pairs[a:b] @ w.value.T
-                grads.append(gathered[a:b].T @ g_pairs[a:b])
-            grads[0] = FusedKernelMap.scatter(gx_pairs, fmap.in_plan,
-                                              fmap.n_in)
-            grads.append(g.sum(axis=0))
-            return tuple(grads)
+            gw = np.zeros_like(w)
+            for a, b, oi in slices:
+                gx_pairs[a:b] = g_pairs[a:b] @ w[oi].T
+                gw[oi] = gathered[a:b].T @ g_pairs[a:b]
+            gx = FusedKernelMap.scatter(gx_pairs, fmap.in_plan, fmap.n_in)
+            return gx, gw, g.sum(axis=0)
 
-        return Node(out, (x, *live, self.bias), bwd)
+        return Node(out, (x, self.weight, self.bias), bwd)
 
 
 def max_pool2(x: Node, child_rows) -> Node:

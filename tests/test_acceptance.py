@@ -130,11 +130,19 @@ def test_criterion_04_gradient_check(capsys):
 
     h = 1e-5
     pick = np.random.default_rng(42)
-    n_checked, failures = 0, []
+    # every offset's kernel of a conv weight counts as a tensor of its own
+    tensors = []
     for name, p in model.named_parameters():
-        flat = p.value.reshape(-1)
-        grad = (p.grad if p.grad is not None
-                else np.zeros_like(p.value)).reshape(-1)
+        grad = p.grad if p.grad is not None else np.zeros_like(p.value)
+        if name.endswith(".weight"):
+            tensors += [(f"{name}[{i}]", p.value[i], grad[i])
+                        for i in range(len(p.value))]
+        else:
+            tensors.append((name, p.value, grad))
+    n_checked, failures = 0, []
+    for name, value, grad in tensors:
+        flat = value.reshape(-1)  # a view: writes move the weight
+        grad = grad.reshape(-1)
         for idx in pick.choice(flat.size, size=min(2, flat.size),
                                replace=False):
             orig = flat[idx]
@@ -205,10 +213,10 @@ def test_criterion_06_sparse_op_oracles(capsys):
         table = {tuple(c): f for c, f in zip(fine, x)}
         for j, c in enumerate(fine):
             expect = conv.bias.value.copy()
-            for w, o in zip(conv.weights, off3):
+            for w, o in zip(conv.weight.value, off3):
                 src = tuple(c + np.array(o))
                 if src in table:
-                    expect += table[src] @ w.value
+                    expect += table[src] @ w
             worst["conv"] = max(worst["conv"], float(np.abs(got[j] - expect).max()))
 
         # transpose conv (coarse -> fine) vs the one-parent oracle
@@ -220,7 +228,7 @@ def test_criterion_06_sparse_op_oracles(capsys):
         for j, c in enumerate(fine):
             parent = (c // 2) * 2
             oi = off2.index(tuple(c - parent))
-            expect = xc[row[tuple(parent)]] @ up.weights[oi].value + up.bias.value
+            expect = xc[row[tuple(parent)]] @ up.weight.value[oi] + up.bias.value
             worst["transpose"] = max(worst["transpose"],
                                      float(np.abs(got[j] - expect).max()))
 

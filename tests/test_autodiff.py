@@ -145,3 +145,17 @@ def test_adam_skips_unused_params_and_is_deterministic():
     p2, q2 = run()
     np.testing.assert_array_equal(p1, p2)
     np.testing.assert_array_equal(q1, init)  # no grad -> untouched
+
+
+def test_adam_moments_are_allocated_on_first_step():
+    # a parameter that is only ever read (coding) carries no Adam state
+    p = ad.Parameter(np.ones((2, 3)))
+    assert p.m is None and p.v is None
+    ad.adam_step([p], ad.AdamConfig())  # no gradient: no step, no state
+    assert p.m is None and p.v is None and p.t == 0
+    p.grad = np.full((2, 3), 0.5)
+    cfg = ad.AdamConfig()
+    ad.adam_step([p], cfg)
+    assert p.t == 1
+    np.testing.assert_array_equal(p.m, (1 - cfg.beta1) * p.grad)
+    np.testing.assert_array_equal(p.v, (1 - cfg.beta2) * p.grad * p.grad)

@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -167,3 +170,18 @@ def test_failed_ply_write_leaves_no_file(workspace, tmp_path, monkeypatch):
             "--model", str(workspace / "model.npz"),
             "--out", str(out_dir / "decoded.ply")]) == 2
         assert list(out_dir.iterdir()) == []
+
+
+def test_outputs_honour_the_umask(workspace, tmp_path):
+    old = os.umask(0o022)
+    try:
+        bitstream = _encode_workspace_cloud(workspace, tmp_path)
+        decoded = tmp_path / "decoded.ply"
+        assert cli.main(["decode", str(workspace / "data" / "cloud.ply"),
+                         str(bitstream), "--model",
+                         str(workspace / "model.npz"),
+                         "--out", str(decoded)]) == 0
+    finally:
+        os.umask(old)
+    for path in (bitstream, decoded):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644

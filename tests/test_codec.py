@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -152,6 +155,17 @@ def test_malformed_input_raises_corrupt_stream(case, model, coded):
         MALFORMED[case](*coded, model)
 
 
+def test_header_rgb_alphabet_is_checked(model, coded):
+    coords, stream, _ = coded
+    field = codec.header_size(CFG.num_scales) - 4
+    assert stream[field:field + 2] == (256).to_bytes(2, "little")
+    bad = stream[:field] + (17).to_bytes(2, "little") + stream[field + 2:]
+    with pytest.raises(ModelMismatch):
+        codec.decode(coords, bad, model)
+    with pytest.raises(ModelMismatch):
+        codec.decode_scalable(coords, codec.truncate_bitstream(bad, 2), model)
+
+
 def test_scalable_decode_modes(model):
     rng = np.random.default_rng(7)
     coords, rgb = random_block(rng, lo=100, hi=200)
@@ -222,6 +236,92 @@ def test_checkpoint_detects_tampering(tmp_path, model):
     np.savez_compressed(path, **arrays)
     with pytest.raises(DigestMismatch):
         codec.ModelCheckpoint.load(path)
+
+
+def _broadcastable_weight_without_digest(arrays):
+    # (1, 1, c_out) broadcasts into (27, 3, c_out): without a stored digest
+    # nothing else would notice
+    arrays["enc1.head.weight"] = arrays["enc1.head.weight"][:1, :1]
+    del arrays["__meta__"]["digest"]
+
+
+# checkpoint edits (on its arrays, "__meta__" decoded) -> ModelMismatch
+MALFORMED_CHECKPOINT = {
+    "missing weight": lambda a: a.pop("enc1.head.weight"),
+    "missing bias": lambda a: a.pop("dec1.to_params.bias"),
+    "missing metadata": lambda a: a.pop("__meta__"),
+    "narrow weight": lambda a: a.update(
+        {"enc1.head.weight": a["enc1.head.weight"][:, :, :-1]}),
+    "broadcastable weight, no digest": _broadcastable_weight_without_digest,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINT))
+def test_malformed_checkpoint_raises_model_mismatch(tmp_path, model, case):
+    path = tmp_path / "model.npz"
+    codec.ModelCheckpoint(model).save(path)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    arrays["__meta__"] = json.loads(str(arrays["__meta__"]))
+    MALFORMED_CHECKPOINT[case](arrays)
+    if "__meta__" in arrays:
+        arrays["__meta__"] = json.dumps(arrays["__meta__"])
+    np.savez(path, **arrays)
+    with pytest.raises(ModelMismatch):
+        codec.ModelCheckpoint.load(path)
+
+
+def per_offset_layout(model):
+    """A model's arrays as checkpoints stored them before conv weights were
+    stacked: one (c_in, c_out) array prefix.wNN per kernel offset."""
+    arrays = {}
+    for name, p in model.named_parameters():
+        if name.endswith(".weight"):
+            prefix = name[:-len(".weight")]
+            for i, kernel in enumerate(p.value):
+                arrays[f"{prefix}.w{i:02d}"] = kernel
+        else:
+            arrays[name] = p.value
+    return arrays
+
+
+def per_offset_digest(model):
+    """The digest as it was defined over the per-offset arrays."""
+    h = hashlib.sha256()
+    h.update(json.dumps(model.config.to_dict(), sort_keys=True).encode())
+    h.update(json.dumps(model.quantizer.to_dict(), sort_keys=True).encode())
+    for name, value in sorted(per_offset_layout(model).items()):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(value, dtype=np.float64).tobytes())
+    return h.digest()[:8]
+
+
+def test_per_offset_checkpoint_loads(tmp_path, model):
+    # the digest, and so every stream header, is the per-offset layout's
+    assert model.digest() == per_offset_digest(model)
+    arrays = per_offset_layout(model)
+    meta = {"config": model.config.to_dict(),
+            "quantizer": model.quantizer.to_dict(),
+            "digest": per_offset_digest(model).hex(), "note": "old"}
+    path = tmp_path / "old.npz"
+    np.savez_compressed(path, __meta__=json.dumps(meta, sort_keys=True),
+                        **arrays)
+    loaded = codec.ModelCheckpoint.load(path)
+    assert loaded.metadata == {"note": "old"}
+    assert loaded.model.digest() == model.digest()
+    for (name, p), (_, q) in zip(model.named_parameters(),
+                                 loaded.model.named_parameters()):
+        np.testing.assert_array_equal(p.value, q.value, err_msg=name)
+    rng = np.random.default_rng(13)
+    coords, rgb = random_block(rng)
+    assert codec.encode(coords, rgb, loaded.model) == \
+        codec.encode(coords, rgb, model)
+    # a missing or misshapen kernel is a model mismatch too
+    kernel = arrays.pop("enc2.head.w05")
+    for broken in (arrays, {**arrays, "enc2.head.w05": kernel[:1]}):
+        np.savez_compressed(path, __meta__=json.dumps(meta), **broken)
+        with pytest.raises(ModelMismatch):
+            codec.ModelCheckpoint.load(path)
 
 
 def test_digest_tracks_weight_changes(model):

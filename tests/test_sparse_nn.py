@@ -50,9 +50,8 @@ def test_sparse_conv_identity_kernel():
     rng = np.random.default_rng(0)
     coords = random_pattern(rng)
     conv = SparseConv(3, 3, 3, rng)
-    for w in conv.weights:
-        w.value[...] = 0.0
-    conv.weights[13].value[...] = np.eye(3)  # center offset
+    conv.weight.value[...] = 0.0
+    conv.weight.value[13] = np.eye(3)  # center offset
     fmap = FusedKernelMap(build_kernel_map(coords, coords, 3, 1),
                           len(coords), len(coords))
     x = rng.normal(size=(len(coords), 3))
@@ -73,7 +72,7 @@ def test_sparse_conv_matches_dense_oracle():
         fmap = FusedKernelMap(build_kernel_map(coords, coords, 3, 1),
                               len(coords), len(coords))
         out = conv(ad.Node(x), fmap)
-        expect = dense_conv_oracle(coords, x, [w.value for w in conv.weights],
+        expect = dense_conv_oracle(coords, x, conv.weight.value,
                                    conv.bias.value, offsets)
         np.testing.assert_allclose(out.value, expect, atol=1e-9)
 
@@ -101,15 +100,15 @@ def test_sparse_conv_gradients_match_fd():
         x[i] += h
         fd[i] = (up - dn) / (2 * h)
     np.testing.assert_allclose(node.grad, fd, atol=1e-6)
-    # one weight + the bias
-    w = conv.weights[13]
-    fdw = np.zeros_like(w.value)
-    for i in np.ndindex(w.value.shape):
-        w.value[i] += h; up = loss_value()
-        w.value[i] -= 2 * h; dn = loss_value()
-        w.value[i] += h
+    # one offset's kernel + the bias
+    w = conv.weight.value[13]
+    fdw = np.zeros_like(w)
+    for i in np.ndindex(w.shape):
+        w[i] += h; up = loss_value()
+        w[i] -= 2 * h; dn = loss_value()
+        w[i] += h
         fdw[i] = (up - dn) / (2 * h)
-    np.testing.assert_allclose(w.grad, fdw, atol=1e-6)
+    np.testing.assert_allclose(conv.weight.grad[13], fdw, atol=1e-6)
     np.testing.assert_allclose(conv.bias.grad, coeff.sum(0), atol=1e-12)
 
     with pytest.raises(ShapeMismatch):
@@ -149,7 +148,7 @@ def test_transpose_conv_matches_dense_oracle():
         for j, fine in enumerate(pyr.coords[0]):
             parent = (fine // 2) * 2
             oi = offsets.index(tuple(fine - parent))
-            expect = x[coarse_row[tuple(parent)]] @ conv.weights[oi].value \
+            expect = x[coarse_row[tuple(parent)]] @ conv.weight.value[oi] \
                 + conv.bias.value
             np.testing.assert_allclose(out.value[j], expect, atol=1e-9)
 
@@ -158,8 +157,7 @@ def test_residual_block_zero_weights_is_identity():
     rng = np.random.default_rng(5)
     coords = random_pattern(rng)
     block = ResidualBlock(4, rng)
-    for w in block.conv2.weights:
-        w.value[...] = 0.0
+    block.conv2.weight.value[...] = 0.0
     block.conv2.bias.value[...] = 0.0
     fmap = FusedKernelMap(build_kernel_map(coords, coords, 3, 1),
                           len(coords), len(coords))
@@ -205,5 +203,5 @@ def test_named_parameters_unique_and_complete():
     enc = ScaleEncoder(1, cfg, rng)
     names = [n for n, _ in enc.named_parameters()]
     assert len(names) == len(set(names))
-    # head + 2 blocks x 2 convs + 2 branch convs = 7 convs x 28 tensors
-    assert len(names) == 7 * 28
+    # head + 2 blocks x 2 convs + 2 branch convs = 7 convs x (weight, bias)
+    assert len(names) == 7 * 2
