@@ -29,13 +29,12 @@ print(f"{len(pc)} input points -> {len(tensor)} voxels in {len(blocks)} blocks")
 
 model = CodecModel(seed=0)
 data = encode_blocks(
-    [(b.origin, b.tensor.coords, b.tensor.features.astype(np.int64))
-     for b in blocks], model)
+    [(b.origin, b.tensor.coords, b.tensor.features) for b in blocks], model)
 print(f"file bitstream: {len(data)} bytes, "
       f"{measure_bpp(data, len(tensor)):.2f} bpp")
 
 decoded = decode_blocks(data, [b.tensor.coords for b in blocks], model)
-ok = all(np.array_equal(rgb, b.tensor.features.astype(np.int64))
+ok = all(np.array_equal(rgb, b.tensor.features)
          for b, (_, rgb) in zip(blocks, decoded))
 print(f"all blocks lossless: {ok}")
 

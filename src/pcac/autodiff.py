@@ -158,12 +158,6 @@ def log(x: Node) -> Node:
     return Node(np.log(x.value), (x,), lambda g: (g / x.value,))
 
 
-def softplus(x: Node) -> Node:
-    v = np.logaddexp(0.0, x.value)
-    s = 1.0 / (1.0 + np.exp(-np.clip(x.value, -500, 500)))
-    return Node(v, (x,), lambda g: (g * s,))
-
-
 def clamp_min(x: Node, c: float) -> Node:
     mask = x.value > c
     return Node(np.where(mask, x.value, c), (x,), lambda g: (g * mask,))

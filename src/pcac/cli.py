@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codec, pc_io, trainer
-from .errors import PcacError
+from .errors import MissingProperty, PcacError
 from .tensor_core import sort_coords
 
 CHECKPOINT_DIR_ENV = "PCAC_CHECKPOINT_DIR"
@@ -52,18 +52,10 @@ def _atomic_output(path, write):
             os.unlink(tmp)
 
 
-def _load_blocks(ply_path):
-    pc = pc_io.read_ply(ply_path)
-    depth = max(1, int(np.ceil(np.log2(
-        max(2.0, float(np.asarray(pc.positions).max()) + 1)))))
-    tensor = pc_io.voxelize(pc, depth)
-    return pc_io.partition_blocks(tensor)
-
-
 def _cmd_train(args):
     blocks = []
     for path in sorted(Path(args.data_dir).glob("*.ply")):
-        blocks.extend(_load_blocks(path))
+        blocks.extend(pc_io.load_blocks(path))
     cfg = trainer.TrainConfig(seed=args.seed, max_epochs=args.max_epochs,
                               batch_size=args.batch_size)
     log = print if args.verbose else None
@@ -77,11 +69,10 @@ def _cmd_train(args):
 
 def _cmd_encode(args):
     model = codec.ModelCheckpoint.load(_checkpoint_path(args.model)).model
-    blocks = _load_blocks(args.input)
+    blocks = pc_io.load_blocks(args.input)
     t0 = time.monotonic()
     data = codec.encode_blocks(
-        [(b.origin, b.tensor.coords, b.tensor.features.astype(np.int64))
-         for b in blocks], model)
+        [(b.origin, b.tensor.coords, b.rgb) for b in blocks], model)
     elapsed = time.monotonic() - t0
     _atomic_output(args.out, lambda tmp: Path(tmp).write_bytes(data))
     n = sum(len(b.tensor) for b in blocks)
@@ -92,7 +83,7 @@ def _cmd_encode(args):
 
 def _decode_file(args, **scalable):
     model = codec.ModelCheckpoint.load(_checkpoint_path(args.model)).model
-    blocks = _load_blocks(args.geometry)
+    blocks = pc_io.load_blocks(args.geometry)
     data = Path(args.bitstream).read_bytes()
     decoded = codec.decode_blocks(data, [b.tensor.coords for b in blocks],
                                   model, **scalable)
@@ -107,9 +98,11 @@ def _decode_file(args, **scalable):
 
 def _cmd_decode(args):
     blocks, decoded = _decode_file(args)
-    lossless = all(
-        np.array_equal(rgb, b.tensor.features.astype(np.int64))
-        for b, (_, rgb) in zip(blocks, decoded))
+    try:
+        lossless = all(np.array_equal(rgb, b.rgb)
+                       for b, (_, rgb) in zip(blocks, decoded))
+    except MissingProperty:  # a geometry-only PLY: nothing to compare with
+        return 0
     print(f"lossless: {str(lossless).lower()}")
     return 0
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import zipfile
 import zlib
 from dataclasses import dataclass, field
 
@@ -26,7 +27,7 @@ from . import autodiff as ad
 from . import likelihood as lh
 from . import range_coder as rc
 from .errors import (ChecksumFailure, CorruptStream, DigestMismatch,
-                     ModelMismatch, ShapeMismatch)
+                     ModelMismatch, ShapeMismatch, SymbolOutOfRange)
 from .quantizer import QuantizerConfig, dequantize, quantize_hard, quantize_soft
 from .sparse_nn import KernelMapCache, ModelConfig, ScaleDecoder, ScaleEncoder
 from .tensor_core import build_pyramid, sort_coords
@@ -124,6 +125,20 @@ def _checked(array, name: str, shape):
     return array
 
 
+def _read_checkpoint(path):
+    with np.load(path, allow_pickle=False) as data:
+        names = set(data.files)
+        if "__meta__" not in names:
+            raise ModelMismatch("checkpoint has no metadata")
+        meta = json.loads(str(data["__meta__"]))
+        model = CodecModel(ModelConfig.from_dict(meta.pop("config")))
+        model.quantizer = QuantizerConfig.from_dict(meta.pop("quantizer"))
+        for name, p in model.named_parameters():
+            p.value[...] = _stored_array(data, names, name, p.value.shape)
+        model.mark_dirty()
+    return model, meta
+
+
 @dataclass
 class ModelCheckpoint:
     """A model and its metadata in one .npz archive: one array per parameter
@@ -146,18 +161,14 @@ class ModelCheckpoint:
     @classmethod
     def load(cls, path) -> "ModelCheckpoint":
         """Read a checkpoint, stacked or per-offset layout, compressed or not;
-        a missing or misshapen array raises ModelMismatch, weights that do
-        not match the stored digest raise DigestMismatch."""
-        with np.load(path, allow_pickle=False) as data:
-            names = set(data.files)
-            if "__meta__" not in names:
-                raise ModelMismatch("checkpoint has no metadata")
-            meta = json.loads(str(data["__meta__"]))
-            model = CodecModel(ModelConfig.from_dict(meta.pop("config")))
-            model.quantizer = QuantizerConfig.from_dict(meta.pop("quantizer"))
-            for name, p in model.named_parameters():
-                p.value[...] = _stored_array(data, names, name, p.value.shape)
-            model.mark_dirty()
+        a cut or foreign file, bad metadata or a missing or misshapen array
+        raise ModelMismatch, and weights that do not match the stored digest
+        raise DigestMismatch."""
+        try:
+            model, meta = _read_checkpoint(path)
+        except (ValueError, EOFError, KeyError, TypeError, AttributeError,
+                zipfile.BadZipFile, zlib.error) as exc:
+            raise ModelMismatch(f"malformed checkpoint: {exc!r}") from exc
         stored = meta.pop("digest", None)
         if stored is not None and stored != model.digest().hex():
             raise DigestMismatch("checkpoint digest does not match its weights")
@@ -180,17 +191,25 @@ def run_encoders(model: CodecModel, rgb, maps: KernelMapCache):
     return latents
 
 
+def prepare_block(geometry, rgb_features, num_scales: int):
+    """Check a block and put it in canonical form: (kernel maps, RGB).
+    RGB must be (N, 3), else ShapeMismatch, and hold integers in 0..255 of
+    any dtype, else SymbolOutOfRange; it returns as int64 in `sort_coords`
+    order, the order of the pyramid."""
+    geometry = np.asarray(geometry, dtype=np.int64).reshape(-1, 3)
+    rgb = np.asarray(rgb_features)
+    if rgb.shape != (len(geometry), 3):
+        raise ShapeMismatch(f"features {rgb.shape} for {len(geometry)} points")
+    maps = KernelMapCache(build_pyramid(geometry, num_scales))
+    if not np.all((rgb >= 0) & (rgb <= 255) & (rgb % 1 == 0)):
+        raise SymbolOutOfRange("RGB values must be integers in 0..255")
+    return maps, rgb.astype(np.int64)[sort_coords(geometry)]
+
+
 def _analyze(model: CodecModel, geometry, rgb_features):
     """Encoder side of one block: its kernel maps, the top-scale latent
     symbols, and an iterator over the symbols of every `_top_down` pass."""
-    geometry = np.asarray(geometry, dtype=np.int64).reshape(-1, 3)
-    rgb = np.asarray(rgb_features, dtype=np.int64)
-    if rgb.shape != (len(geometry), 3):
-        raise ShapeMismatch(f"features {rgb.shape} for {len(geometry)} points")
-    maps = KernelMapCache(build_pyramid(geometry, model.config.num_scales))
-    # geometry arrives in canonical order inside the pyramid; features must
-    # follow the same permutation
-    rgb = rgb[sort_coords(geometry)]
+    maps, rgb = prepare_block(geometry, rgb_features, model.config.num_scales)
     symbols = [quantize_hard(node.value, model.quantizer)[0]
                for node in run_encoders(model, rgb, maps)]
     passes = [s.reshape(-1) for s in symbols[-2::-1]] + list(rgb.T)
@@ -289,9 +308,11 @@ def _top_down(model: CodecModel, maps: KernelMapCache, symbols, code_pass):
     cfg = model.config
     forwarded = None
     for n in range(cfg.num_scales, 0, -1):
-        params, forwarded = model.decoders[n - 1](
-            ad.constant(dequantize(symbols, model.quantizer)), forwarded, maps)
-        p = params.value
+        # only values cross a scale boundary, so no decoder's autodiff graph
+        # outlives its scale
+        p, forwarded = (node.value for node in model.decoders[n - 1](
+            ad.constant(dequantize(symbols, model.quantizer)),
+            None if forwarded is None else ad.constant(forwarded), maps))
         if n > 1:
             symbols = code_pass(cfg.num_scales + 1 - n, _pmf_blocks(
                 len(p), lambda rows: lh.latent_pmfs(
@@ -431,20 +452,15 @@ def measure_bpp(bitstream: bytes, num_points: int) -> float:
 
 # -------------------------------------------------------------- loss graphs
 
-def block_loss(model: CodecModel, geometry, rgb_features,
-               quant_mode: str = "ste", maps: KernelMapCache | None = None):
-    """Differentiable total coding cost (bits) of one block.
+def block_loss(model: CodecModel, maps: KernelMapCache, rgb,
+               quant_mode: str = "ste"):
+    """Differentiable total coding cost (bits) of one block, given as
+    `prepare_block` returns it.
 
     Returns (loss node, constant top-scale bits). The constant term is the
     uniform cost of the top latent; it carries no gradient.
     """
     cfg = model.config
-    rgb = np.asarray(rgb_features, dtype=np.int64)
-    if maps is None:
-        pyramid = build_pyramid(np.asarray(geometry, dtype=np.int64)
-                                .reshape(-1, 3), cfg.num_scales)
-        maps = KernelMapCache(pyramid)
-        rgb = rgb[sort_coords(np.asarray(geometry).reshape(-1, 3))]
     latent_pre = run_encoders(model, rgb, maps)
     symbols = [quantize_hard(n.value, model.quantizer)[0] for n in latent_pre]
     quantized = [quantize_soft(n, model.quantizer, mode=quant_mode)
@@ -490,7 +506,8 @@ def quantized_info_bits(model: CodecModel, geometry, rgb_features) -> float:
 
 def estimate_bits(model: CodecModel, geometry, rgb_features) -> float:
     """Eq.-style cross-entropy estimate of the coded size, in bits."""
-    loss, const = block_loss(model, geometry, rgb_features)
+    maps, rgb = prepare_block(geometry, rgb_features, model.config.num_scales)
+    loss, const = block_loss(model, maps, rgb)
     return float(loss.value) + const
 
 

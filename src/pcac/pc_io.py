@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (MalformedHeader, MissingProperty, OutOfRange,
-                     UnsupportedFormat)
+from .errors import (EmptyGeometry, MalformedHeader, MissingProperty,
+                     OutOfRange, UnsupportedFormat)
 from .tensor_core import SparseTensor, build_sparse_tensor, pack_coords
 
 _PLY_DTYPES = {
@@ -20,13 +20,13 @@ _PLY_DTYPES = {
     "float": "f4", "float32": "f4",
     "double": "f8", "float64": "f8",
 }
+_RGB = ("red", "green", "blue")
 
 
 @dataclass
 class PointCloud:
     positions: np.ndarray  # (N, 3)
-    colors: np.ndarray  # (N, 3) ints in 0..255
-    bit_depth: int | None = None
+    colors: np.ndarray  # (N, 3) ints in 0..255; (N, 0) for xyz-only files
 
     def __len__(self):
         return len(self.positions)
@@ -66,8 +66,10 @@ def _parse_ply_header(f):
     return fmt, elements
 
 
-def read_ply(path) -> PointCloud:
-    """Read x,y,z + red,green,blue from an ascii or little-endian binary PLY."""
+def _read_cloud(path, required) -> PointCloud:
+    """x,y,z + red,green,blue from an ascii or little-endian binary PLY, with
+    no colour columns if the file has none; MissingProperty if one of the
+    `required` properties is absent."""
     with open(path, "rb") as f:
         fmt, elements = _parse_ply_header(f)
         vertex = next((e for e in elements if e[0] == "vertex"), None)
@@ -75,9 +77,9 @@ def read_ply(path) -> PointCloud:
             raise MalformedHeader("no vertex element")
         name, count, props = vertex
         names = [p[0] for p in props]
-        for required in ("x", "y", "z", "red", "green", "blue"):
-            if required not in names:
-                raise MissingProperty(f"vertex property {required!r} missing")
+        for prop in required:
+            if prop not in names:
+                raise MissingProperty(f"vertex property {prop!r} missing")
         if any(isinstance(p[1], tuple) for p in props):
             raise UnsupportedFormat("list property on the vertex element")
         if elements[0][0] != "vertex":
@@ -97,8 +99,27 @@ def read_ply(path) -> PointCloud:
                                 count=count)
             table = {n: raw[n].astype(np.float64) for n in names}
     positions = np.stack([table["x"], table["y"], table["z"]], axis=1)
-    colors = np.stack([table["red"], table["green"], table["blue"]], axis=1)
+    if not all(c in table for c in _RGB):
+        return PointCloud(positions, np.empty((count, 0)))
+    colors = np.stack([table[c] for c in _RGB], axis=1)
     return PointCloud(positions, colors.astype(np.int64))
+
+
+def read_ply(path) -> PointCloud:
+    """Read x,y,z + red,green,blue from an ascii or little-endian binary PLY."""
+    return _read_cloud(path, ("x", "y", "z") + _RGB)
+
+
+def load_blocks(path):
+    """A PLY as 64-aligned blocks, voxelized at the smallest bit depth that
+    holds its positions. Colours are optional, as a decoder needs geometry
+    only; the blocks of a file without them raise MissingProperty on `rgb`."""
+    pc = _read_cloud(path, ("x", "y", "z"))
+    if not len(pc):
+        raise EmptyGeometry(f"{path} has no points")
+    depth = max(1, int(np.ceil(np.log2(
+        max(2.0, float(pc.positions.max()) + 1)))))
+    return partition_blocks(voxelize(pc, depth))
 
 
 def write_ply(pc: PointCloud, path, binary: bool = True):
@@ -145,7 +166,7 @@ def voxelize(pc: PointCloud, bit_depth: int) -> SparseTensor:
     group_start[1:] = keys[1:] != keys[:-1]
     group_id = np.cumsum(group_start) - 1
     n_groups = group_id[-1] + 1
-    sums = np.zeros((n_groups, 3))
+    sums = np.zeros((n_groups, colors.shape[1]))
     np.add.at(sums, group_id, colors)
     counts = np.bincount(group_id, minlength=n_groups).astype(np.float64)
     means = _round_half_away(sums / counts[:, None])
@@ -156,6 +177,13 @@ def voxelize(pc: PointCloud, bit_depth: int) -> SparseTensor:
 class Block:
     origin: np.ndarray  # (3,) int, multiple of the block size
     tensor: SparseTensor  # local coords in [0, size)
+
+    @property
+    def rgb(self):
+        """The block's colours; MissingProperty if its PLY had none."""
+        if self.tensor.features.shape[1] != 3:
+            raise MissingProperty("the PLY has no red, green and blue")
+        return self.tensor.features
 
 
 def partition_blocks(tensor: SparseTensor, size: int = 64):

@@ -151,9 +151,6 @@ class SparseConv:
                                             (n_off, c_in, c_out)))
         self.bias = Parameter(np.zeros(c_out))
 
-    def parameters(self):
-        return [self.weight, self.bias]
-
     def named_parameters(self, prefix: str):
         return [(f"{prefix}.weight", self.weight), (f"{prefix}.bias", self.bias)]
 
@@ -202,9 +199,6 @@ class ResidualBlock:
     def __init__(self, channels: int, rng):
         self.conv1 = SparseConv(channels, channels, 3, rng)
         self.conv2 = SparseConv(channels, channels, 3, rng, weight_scale=0.1)
-
-    def parameters(self):
-        return self.conv1.parameters() + self.conv2.parameters()
 
     def named_parameters(self, prefix: str):
         return (self.conv1.named_parameters(f"{prefix}.conv1")

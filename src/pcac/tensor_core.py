@@ -7,7 +7,7 @@ this order, which is what makes encode/decode deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,10 +61,6 @@ class SparseTensor:
     coords: np.ndarray  # (N, 3) int64, strictly lexicographically increasing
     features: np.ndarray  # (N, C) float64
     stride: int = 1
-    index: CoordIndex = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.index = CoordIndex(self.coords)
 
     def __len__(self):
         return len(self.coords)

@@ -10,11 +10,10 @@ import numpy as np
 
 from .autodiff import AdamConfig, adam_step, backward
 from .codec import (CodecModel, ModelCheckpoint, block_loss, encode_blocks,
-                    measure_bpp)
+                    measure_bpp, prepare_block)
 from .errors import EmptyDataset
-from .pc_io import partition_blocks, read_ply, voxelize
-from .sparse_nn import KernelMapCache
-from .tensor_core import build_pyramid
+from .pc_io import load_blocks
+from .tensor_core import build_pyramid  # noqa: F401  perfbench traces it here
 
 
 @dataclass
@@ -33,32 +32,10 @@ class TrainConfig:
                           decay_interval=self.lr_decay_interval)
 
 
-class _BlockData:
-    """One training block with its geometry-derived caches."""
-
-    def __init__(self, geometry, rgb, num_scales):
-        from .tensor_core import sort_coords
-        geometry = np.asarray(geometry, dtype=np.int64).reshape(-1, 3)
-        perm = sort_coords(geometry)
-        self.rgb = np.asarray(rgb, dtype=np.int64)[perm]
-        pyramid = build_pyramid(geometry, num_scales)
-        self.maps = KernelMapCache(pyramid)
-        self.num_points = len(geometry)
-
-
 def _as_pairs(blocks):
-    out = []
-    for b in blocks:
-        if hasattr(b, "tensor"):  # pc_io.Block
-            out.append((b.tensor.coords, b.tensor.features.astype(np.int64)))
-        else:
-            out.append(b)
-    return out
-
-
-def _total_loss(model, data: _BlockData):
-    loss, const = block_loss(model, None, data.rgb, maps=data.maps)
-    return loss, const
+    """(geometry, rgb) of each pc_io.Block; pairs pass through."""
+    return [(b.tensor.coords, b.rgb) if hasattr(b, "tensor") else b
+            for b in blocks]
 
 
 def train(blocks, config: TrainConfig | None = None,
@@ -75,7 +52,7 @@ def train(blocks, config: TrainConfig | None = None,
     pairs = _as_pairs(blocks)
     if not pairs:
         raise EmptyDataset("no training blocks")
-    data = [_BlockData(g, f, model.config.num_scales) for g, f in pairs]
+    data = [prepare_block(g, f, model.config.num_scales) for g, f in pairs]
 
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(data))
@@ -105,7 +82,7 @@ def train(blocks, config: TrainConfig | None = None,
             for p in params:
                 p.grad = None
             for d in batch:
-                loss, _ = carried or _total_loss(model, d)
+                loss, _ = carried or block_loss(model, *d)
                 carried = None
                 backward(loss)
             for p in params:
@@ -116,12 +93,12 @@ def train(blocks, config: TrainConfig | None = None,
 
         val_bits = 0.0
         val_points = 0
-        for d in val:
-            loss, const = _total_loss(model, d)
+        for maps, rgb in val:
+            loss, const = block_loss(model, maps, rgb)
             if reuse:
                 carried = (loss, const)
             val_bits += float(loss.value) + const
-            val_points += d.num_points
+            val_points += len(rgb)
         val_bpp = val_bits / val_points
         history.append(val_bpp)
         if log:
@@ -151,28 +128,23 @@ def train(blocks, config: TrainConfig | None = None,
     })
 
 
-def evaluate(paths, model: CodecModel, block_size: int = 64):
+def evaluate(paths, model: CodecModel):
     """Encode whole point-cloud files; report rate and timing per file.
 
     Returns rows of {name, points, bpp, enc_seconds} plus an average row.
     """
     rows = []
     for path in paths:
-        path = Path(path)
-        pc = read_ply(path)
-        depth = max(1, int(np.ceil(np.log2(
-            max(2.0, float(pc.positions.max()) + 1)))))
-        tensor = voxelize(pc, depth)
-        blocks = partition_blocks(tensor, block_size)
+        blocks = load_blocks(path)
         t0 = time.monotonic()
-        data = encode_blocks(
-            [(b.origin, b.tensor.coords, b.tensor.features.astype(np.int64))
-             for b in blocks], model)
+        data = encode_blocks([(b.origin, b.tensor.coords, b.rgb)
+                              for b in blocks], model)
         elapsed = time.monotonic() - t0
+        points = sum(len(b.tensor) for b in blocks)
         rows.append({
-            "name": path.stem,
-            "points": len(tensor),
-            "bpp": measure_bpp(data, len(tensor)),
+            "name": Path(path).stem,
+            "points": points,
+            "bpp": measure_bpp(data, points),
             "enc_seconds": elapsed,
         })
     if rows:

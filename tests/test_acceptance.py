@@ -118,14 +118,13 @@ def test_criterion_04_gradient_check(capsys):
     rng = np.random.default_rng(0)
     coords = np.unique(rng.integers(0, 8, size=(60, 3)), axis=0)[:64]
     rgb = rng.integers(0, 256, size=(len(coords), 3))
-    maps = KernelMapCache(build_pyramid(coords, cfg.num_scales))
-    rgb = rgb[sort_coords(coords)]
+    maps, rgb = codec.prepare_block(coords, rgb, cfg.num_scales)
 
-    loss, _ = codec.block_loss(model, None, rgb, quant_mode="soft", maps=maps)
+    loss, _ = codec.block_loss(model, maps, rgb, quant_mode="soft")
     ad.backward(loss)
 
     def f():
-        l, _ = codec.block_loss(model, None, rgb, quant_mode="soft", maps=maps)
+        l, _ = codec.block_loss(model, maps, rgb, quant_mode="soft")
         return float(l.value)
 
     h = 1e-5

@@ -37,7 +37,6 @@ def test_unary_primitives_match_fd():
     check_unary(ad.tanh, x)
     check_unary(ad.exp, x)
     check_unary(ad.log, np.abs(x) + 0.5)
-    check_unary(ad.softplus, x)
     check_unary(lambda n: ad.clamp_min(n, 0.1), x + 3.0)
     check_unary(ad.softmax_rows, x)
     check_unary(lambda n: ad.scale(n, -2.5), x)

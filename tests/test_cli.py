@@ -35,7 +35,7 @@ def test_usage_errors_exit_1():
                      "--out", "o", "--chunks", "9"]) == 1
 
 
-def test_missing_files_exit_2(workspace):
+def test_missing_files_exit_2(workspace, tmp_path, capsys):
     out = workspace / "x.bin"
     assert cli.main(["encode", str(workspace / "missing.ply"),
                      "--model", str(workspace / "model.npz"),
@@ -43,6 +43,19 @@ def test_missing_files_exit_2(workspace):
     assert cli.main(["encode", str(workspace / "data" / "cloud.ply"),
                      "--model", str(workspace / "missing.npz"),
                      "--out", str(out)]) == 2
+    # a cut checkpoint and a PLY without points are data errors too
+    cut = tmp_path / "cut.npz"
+    cut.write_bytes((workspace / "model.npz").read_bytes()[:500])
+    empty = tmp_path / "empty.ply"
+    pc_io.write_ply(pc_io.PointCloud(np.empty((0, 3)), np.empty((0, 3))),
+                    empty)
+    capsys.readouterr()
+    for ply, model, error in (
+            (workspace / "data" / "cloud.ply", cut, "ModelMismatch"),
+            (empty, workspace / "model.npz", "EmptyGeometry")):
+        assert cli.main(["encode", str(ply), "--model", str(model),
+                         "--out", str(out)]) == 2
+        assert error in capsys.readouterr().err
     assert not out.exists()  # atomic writes never leave partial output
 
 
@@ -185,3 +198,34 @@ def test_outputs_honour_the_umask(workspace, tmp_path):
         os.umask(old)
     for path in (bitstream, decoded):
         assert stat.S_IMODE(path.stat().st_mode) == 0o644
+
+
+def test_geometry_only_ply(workspace, tmp_path, capsys):
+    # an xyz-only PLY is all a decoder needs, and not enough to encode from
+    cloud = pc_io.read_ply(workspace / "data" / "cloud.ply")
+    geometry = tmp_path / "data" / "geometry.ply"
+    geometry.parent.mkdir()
+    geometry.write_text("\n".join(
+        ["ply", "format ascii 1.0", f"element vertex {len(cloud)}",
+         "property float x", "property float y", "property float z",
+         "end_header"]
+        + [f"{x:g} {y:g} {z:g}" for x, y, z in cloud.positions]) + "\n")
+    bitstream = _encode_workspace_cloud(workspace, tmp_path)
+    model = str(workspace / "model.npz")
+    expected = sorted(map(tuple, np.hstack([cloud.positions, cloud.colors])))
+    for command in (["decode"], ["decode-scalable", "--chunks", "4"]):
+        out = tmp_path / "decoded.ply"
+        assert cli.main(command + [str(geometry), str(bitstream), "--model",
+                                   model, "--out", str(out)]) == 0
+        back = pc_io.read_ply(out)
+        assert sorted(map(tuple, np.hstack([back.positions,
+                                            back.colors]))) == expected
+    capsys.readouterr()
+    for command in (["encode", str(geometry), "--model", model,
+                     "--out", str(tmp_path / "x.bin")],
+                    ["train", str(geometry.parent),
+                     "--out", str(tmp_path / "x.npz")],
+                    ["evaluate", str(geometry.parent), "--model", model,
+                     "--csv", str(tmp_path / "x.csv")]):
+        assert cli.main(command) == 2
+        assert "MissingProperty" in capsys.readouterr().err

@@ -6,7 +6,8 @@ import pytest
 
 from pcac import codec
 from pcac.errors import (ChecksumFailure, CorruptStream, DigestMismatch,
-                         EmptyGeometry, ModelMismatch, ShapeMismatch)
+                         EmptyGeometry, ModelMismatch, ShapeMismatch,
+                         SymbolOutOfRange)
 from pcac.sparse_nn import ModelConfig
 from pcac.tensor_core import sort_coords
 
@@ -32,6 +33,8 @@ def test_round_trip_random_blocks(model):
         stream = codec.encode(coords, rgb, model)
         back = codec.decode(coords, stream, model)
         np.testing.assert_array_equal(back, rgb[sort_coords(coords)])
+        # integer-valued floats, as voxelize makes them, are the same block
+        assert codec.encode(coords, rgb.astype(np.float64), model) == stream
 
 
 def test_round_trip_single_point(model):
@@ -46,6 +49,16 @@ def test_encode_validates_inputs(model):
         codec.encode(np.empty((0, 3)), np.empty((0, 3)), model)
     with pytest.raises(ShapeMismatch):
         codec.encode(np.array([[0, 0, 0]]), np.zeros((2, 3)), model)
+    # colours must be integers in 0..255 wherever a block enters the codec
+    coords, rgb = random_block(np.random.default_rng(12))
+    for bad in (300, -1, 2.7):
+        wrong = rgb.astype(np.float64)
+        wrong[3, 2] = bad
+        for entry in (lambda: codec.encode(coords, wrong, model),
+                      lambda: codec.quantized_info_bits(model, coords, wrong),
+                      lambda: codec.estimate_bits(model, coords, wrong)):
+            with pytest.raises(SymbolOutOfRange):
+                entry()
 
 
 def test_decode_rejects_wrong_model(model):
@@ -253,20 +266,33 @@ MALFORMED_CHECKPOINT = {
     "narrow weight": lambda a: a.update(
         {"enc1.head.weight": a["enc1.head.weight"][:, :, :-1]}),
     "broadcastable weight, no digest": _broadcastable_weight_without_digest,
+    "metadata not JSON": lambda a: a.update({"__meta__": "{not json"}),
+    "metadata without config": lambda a: a["__meta__"].pop("config"),
+}
+
+# edits of a checkpoint file's bytes -> ModelMismatch
+CORRUPT_CHECKPOINT_FILE = {
+    "cut archive": lambda raw: raw[:500],
+    "not an archive": lambda raw: b"these are not weights\n" * 40,
+    "empty file": lambda raw: b"",
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINT))
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINT)
+                         + sorted(CORRUPT_CHECKPOINT_FILE))
 def test_malformed_checkpoint_raises_model_mismatch(tmp_path, model, case):
     path = tmp_path / "model.npz"
     codec.ModelCheckpoint(model).save(path)
-    with np.load(path) as data:
-        arrays = {k: data[k] for k in data.files}
-    arrays["__meta__"] = json.loads(str(arrays["__meta__"]))
-    MALFORMED_CHECKPOINT[case](arrays)
-    if "__meta__" in arrays:
-        arrays["__meta__"] = json.dumps(arrays["__meta__"])
-    np.savez(path, **arrays)
+    if case in CORRUPT_CHECKPOINT_FILE:
+        path.write_bytes(CORRUPT_CHECKPOINT_FILE[case](path.read_bytes()))
+    else:
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["__meta__"] = json.loads(str(arrays["__meta__"]))
+        MALFORMED_CHECKPOINT[case](arrays)
+        if isinstance(arrays.get("__meta__"), dict):
+            arrays["__meta__"] = json.dumps(arrays["__meta__"])
+        np.savez(path, **arrays)
     with pytest.raises(ModelMismatch):
         codec.ModelCheckpoint.load(path)
 
@@ -356,7 +382,8 @@ def test_multi_block_file(model):
 def test_block_loss_estimates_track_measured_rate(model):
     rng = np.random.default_rng(11)
     coords, rgb = random_block(rng, lo=100, hi=200)
-    loss, const = codec.block_loss(model, coords, rgb)
+    loss, const = codec.block_loss(
+        model, *codec.prepare_block(coords, rgb, CFG.num_scales))
     assert loss.value.shape == ()
     est = float(loss.value) + const
     measured = 8 * len(codec.encode(coords, rgb, model))

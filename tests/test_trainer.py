@@ -3,7 +3,7 @@ import pytest
 
 from pcac import autodiff as ad
 from pcac import codec, pc_io, trainer
-from pcac.errors import EmptyDataset
+from pcac.errors import EmptyDataset, SymbolOutOfRange
 from pcac.sparse_nn import ModelConfig
 
 CFG = ModelConfig(hidden=8, res_blocks=1, mixtures=2)
@@ -75,17 +75,17 @@ def test_single_block_training_reuses_validation_pass(monkeypatch):
 
     # reference: the same Adam updates with every forward pass rebuilt
     model = codec.CodecModel(CFG, seed=0)
-    data = trainer._BlockData(*block, model.config.num_scales)
+    maps, rgb = codec.prepare_block(*block, model.config.num_scales)
     params = model.parameters()
     val_bpp, weights = [], []
     for epoch in range(3):
         for p in params:
             p.grad = None
-        ad.backward(trainer._total_loss(model, data)[0])
+        ad.backward(codec.block_loss(model, maps, rgb)[0])
         ad.adam_step(params, cfg.adam(), epoch)
         model.mark_dirty()
-        loss, const = trainer._total_loss(model, data)
-        val_bpp.append((float(loss.value) + const) / data.num_points)
+        loss, const = codec.block_loss(model, maps, rgb)
+        val_bpp.append((float(loss.value) + const) / len(rgb))
         weights.append([p.value.copy() for p in params])
     best = int(np.argmin(val_bpp))
     assert ckpt.metadata["val_bits_per_point"] == val_bpp[best]
@@ -104,6 +104,13 @@ def test_train_accepts_pc_io_blocks_and_rejects_empty():
     assert "val_bits_per_point" in ckpt.metadata
     with pytest.raises(EmptyDataset):
         trainer.train([], cfg, model=codec.CodecModel(CFG, seed=0))
+    # colours must be integers in 0..255
+    for bad in (300, -1, 2.7):
+        wrong = rgb.astype(np.float64)
+        wrong[4, 1] = bad
+        with pytest.raises(SymbolOutOfRange):
+            trainer.train([(coords, wrong)], cfg,
+                          model=codec.CodecModel(CFG, seed=0))
 
 
 def test_time_budget_stops_early():
