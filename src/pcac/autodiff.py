@@ -39,18 +39,16 @@ class Node:
 
 class Parameter(Node):
     """Trainable leaf with Adam state; the moments `m` and `v` are allocated
-    by the first `adam_step`, so a model that is never trained holds none."""
+    by the first `adam_step`, so a model that is never trained holds none.
+    A float64 array `value` is held as it is, not copied."""
 
     __slots__ = ("m", "v", "t")
 
     def __init__(self, value):
-        super().__init__(np.array(value, dtype=np.float64))
+        super().__init__(value)
         self.m = None
         self.v = None
         self.t = 0
-
-    def zero_grad(self):
-        self.grad = None
 
 
 def constant(value) -> Node:

@@ -34,15 +34,17 @@ from .tensor_core import build_pyramid, sort_coords
 
 MAGIC = b"MNET"
 FILE_MAGIC = b"MNEF"
-VERSION = 1
+VERSION = 2
 
 
 class CodecModel:
     """The full stack: one encoder and one decoder per scale, plus quantizer."""
 
     def __init__(self, config: ModelConfig | None = None, seed: int = 0):
-        self.config = config or ModelConfig()
-        rng = np.random.default_rng(seed)
+        self._build(config or ModelConfig(), np.random.default_rng(seed))
+
+    def _build(self, config: ModelConfig, rng):
+        self.config = config
         self.quantizer = QuantizerConfig(num_bins=self.config.num_bins)
         self.encoders = [ScaleEncoder(n, self.config, rng)
                          for n in range(1, self.config.num_scales + 1)]
@@ -125,16 +127,28 @@ def _checked(array, name: str, shape):
     return array
 
 
+class _Undrawn:
+    """Weight initializer of a model whose weights are about to be read:
+    allocates each weight without drawing it."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.empty(size)
+
+
 def _read_checkpoint(path):
     with np.load(path, allow_pickle=False) as data:
         names = set(data.files)
         if "__meta__" not in names:
             raise ModelMismatch("checkpoint has no metadata")
         meta = json.loads(str(data["__meta__"]))
-        model = CodecModel(ModelConfig.from_dict(meta.pop("config")))
+        model = CodecModel.__new__(CodecModel)
+        model._build(ModelConfig.from_dict(meta.pop("config")), _Undrawn())
         model.quantizer = QuantizerConfig.from_dict(meta.pop("quantizer"))
         for name, p in model.named_parameters():
-            p.value[...] = _stored_array(data, names, name, p.value.shape)
+            p.value = np.ascontiguousarray(
+                _stored_array(data, names, name, p.value.shape),
+                dtype=np.float64)
         model.mark_dirty()
     return model, meta
 

@@ -47,6 +47,8 @@ def _parse_ply_header(f):
         if tokens[0] == "format":
             fmt = tokens[1]
         elif tokens[0] == "element":
+            if len(tokens) != 3 or not tokens[2].isdigit():
+                raise MalformedHeader(f"bad element line {line!r}")
             elements.append((tokens[1], int(tokens[2]), []))
         elif tokens[0] == "property":
             if not elements:
@@ -86,17 +88,25 @@ def _read_cloud(path, required) -> PointCloud:
             raise UnsupportedFormat("vertex is not the first element")
         if fmt == "ascii":
             rows = []
-            for _ in range(count):
+            for row in range(count):
                 parts = f.readline().split()
                 if len(parts) < len(props):
                     raise MalformedHeader("short vertex row")
-                rows.append([float(v) for v in parts[:len(props)]])
+                try:
+                    rows.append([float(v) for v in parts[:len(props)]])
+                except ValueError:
+                    raise MalformedHeader(
+                        f"vertex row {row} holds a non-numeric value") from None
             table = {n: np.array([r[i] for r in rows])
                      for i, n in enumerate(names)}
         else:
             dtype = np.dtype([(n, "<" + code) for n, code in props])
-            raw = np.frombuffer(f.read(dtype.itemsize * count), dtype=dtype,
-                                count=count)
+            data = f.read(dtype.itemsize * count)
+            if len(data) < dtype.itemsize * count:
+                raise MalformedHeader(
+                    f"file ends after {len(data) // dtype.itemsize} of "
+                    f"{count} vertices")
+            raw = np.frombuffer(data, dtype=dtype, count=count)
             table = {n: raw[n].astype(np.float64) for n in names}
     positions = np.stack([table["x"], table["y"], table["z"]], axis=1)
     if not all(c in table for c in _RGB):

@@ -59,6 +59,32 @@ def test_missing_files_exit_2(workspace, tmp_path, capsys):
     assert not out.exists()  # atomic writes never leave partial output
 
 
+def test_malformed_ply_exits_2(workspace, tmp_path, capsys):
+    # a binary PLY cut short of its vertex count, and an ASCII PLY with a
+    # non-numeric value, are data errors for every command that reads one
+    raw = (workspace / "data" / "cloud.ply").read_bytes()
+    cut = tmp_path / "cut.ply"
+    cut.write_bytes(raw[:len(raw) // 2])
+    text = tmp_path / "text.ply"
+    text.write_text("\n".join([
+        "ply", "format ascii 1.0", "element vertex 1",
+        "property float x", "property float y", "property float z",
+        "property uchar red", "property uchar green", "property uchar blue",
+        "end_header", "1 2 z 3 4 5"]) + "\n")
+    bitstream = _encode_workspace_cloud(workspace, tmp_path)
+    model = str(workspace / "model.npz")
+    capsys.readouterr()
+    for ply in (cut, text):
+        for command in (["encode", str(ply), "--model", model,
+                         "--out", str(tmp_path / "x.bin")],
+                        ["decode", str(ply), str(bitstream), "--model", model,
+                         "--out", str(tmp_path / "x.ply")]):
+            assert cli.main(command) == 2
+            assert "MalformedHeader" in capsys.readouterr().err
+    assert not (tmp_path / "x.bin").exists()
+    assert not (tmp_path / "x.ply").exists()
+
+
 def test_encode_decode_round_trip(workspace, capsys):
     ply = workspace / "data" / "cloud.ply"
     model = workspace / "model.npz"

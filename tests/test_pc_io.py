@@ -71,6 +71,22 @@ def test_read_rejects_bad_files(tmp_path):
     with pytest.raises(MalformedHeader):
         pc_io.read_ply(write("d.ply", [
             "ply", "format ascii 1.0", "element other 0", "end_header"]))
+    header = ["ply", "format ascii 1.0", "element vertex 1",
+              "property float x", "property float y", "property float z",
+              "property uchar red", "property uchar green",
+              "property uchar blue", "end_header"]
+    with pytest.raises(MalformedHeader, match="non-numeric"):
+        pc_io.read_ply(write("e.ply", header + ["1 2 z 3 4 5"]))
+    for count in ("-1", "many"):
+        with pytest.raises(MalformedHeader, match="element"):
+            pc_io.read_ply(write("f.ply", [
+                line.replace("vertex 1", f"vertex {count}") for line in header]))
+    binary = tmp_path / "g.ply"
+    pc_io.write_ply(make_cloud(np.random.default_rng(2), n=40), binary)
+    raw = binary.read_bytes()
+    binary.write_bytes(raw[:len(raw) - 15 * 20])  # 20 of 40 vertices left
+    with pytest.raises(MalformedHeader, match="20 of 40"):
+        pc_io.read_ply(binary)
 
 
 def test_voxelize_merges_duplicates_with_mean():

@@ -115,6 +115,55 @@ def test_sparse_conv_gradients_match_fd():
         conv(ad.Node(np.zeros((4, 5))), fmap)
 
 
+def test_offset_slices_repeat_no_row():
+    # SparseConv adds each offset's products into out[rows_out[a:b]] (and
+    # input gradients into gx[rows_in[a:b]]) by fancy-index +=, which keeps
+    # only one of repeated indices: within a slice no row may repeat
+    rng = np.random.default_rng(8)
+    for trial in range(10):
+        coords = random_pattern(rng, extent=32, lo=50, hi=400)
+        pyr = build_pyramid(coords, 3)
+        maps = KernelMapCache(pyr)
+        fmaps = [maps.self_map(level) for level in range(4)]
+        fmaps += [maps.up_map(level) for level in range(1, 4)]
+        for fmap in fmaps:
+            assert fmap.offset_slices
+            for a, b, _ in fmap.offset_slices:
+                for rows in (fmap.rows_in[a:b], fmap.rows_out[a:b]):
+                    assert len(np.unique(rows)) == b - a
+
+
+def test_transpose_conv_gradients_match_fd():
+    # the up map reads n_in coarse rows and writes n_out fine rows, so a
+    # swapped n_in / n_out or rows_in / rows_out shows here
+    rng = np.random.default_rng(9)
+    coords = random_pattern(rng, lo=30, hi=60)
+    pyr = build_pyramid(coords, 1)
+    fmap = KernelMapCache(pyr).up_map(1)
+    assert (fmap.n_in, fmap.n_out) == (len(pyr.coords[1]), len(pyr.coords[0]))
+    assert fmap.n_in < fmap.n_out
+    assert len(fmap.offset_slices) == 8
+    conv = SparseConv(2, 3, 2, rng)
+    x = rng.normal(size=(fmap.n_in, 2))
+    coeff = rng.normal(size=(fmap.n_out, 3))
+
+    def loss_value():
+        return float((conv(ad.Node(x), fmap).value * coeff).sum())
+
+    node = ad.Node(x)
+    ad.backward(ad.sum_all(ad.mul(conv(node, fmap), ad.Node(coeff))))
+    h = 1e-6
+    for value, grad in ((x, node.grad), (conv.weight.value, conv.weight.grad)):
+        fd = np.zeros_like(value)
+        for i in np.ndindex(value.shape):
+            value[i] += h; up = loss_value()
+            value[i] -= 2 * h; dn = loss_value()
+            value[i] += h
+            fd[i] = (up - dn) / (2 * h)
+        assert grad.shape == value.shape
+        np.testing.assert_allclose(grad, fd, atol=1e-6)
+
+
 def test_max_pool_matches_dense_oracle():
     rng = np.random.default_rng(3)
     for trial in range(20):
