@@ -303,10 +303,18 @@ def _pmf_blocks(num_points: int, pmfs):
 
 
 def _cdf_rows(pmf_blocks, hasher=None):
-    cdfs = np.concatenate([lh.build_cdf_table(pmf) for pmf in pmf_blocks])
-    if hasher is not None:
-        hasher.update(cdfs.tobytes())
-    return cdfs
+    """The integer CDF rows of the pmf blocks, in order. One table is built
+    per block; each row is a slice of a memoryview of it, so its items are
+    Python ints and no row is copied. Hashing the tables block by block
+    equals hashing their concatenation."""
+    for pmf in pmf_blocks:
+        table = lh.build_cdf_table(pmf)
+        if hasher is not None:
+            hasher.update(table)
+        width = table.shape[1]
+        flat = memoryview(table.reshape(-1))
+        for lo in range(0, len(flat), width):
+            yield flat[lo:lo + width]
 
 
 def _top_down(model: CodecModel, maps: KernelMapCache, symbols, code_pass):
@@ -510,7 +518,9 @@ def quantized_info_bits(model: CodecModel, geometry, rgb_features) -> float:
     def count(chunk, pmf_blocks):
         nonlocal total
         syms = next(passes)
-        freq = np.diff(_cdf_rows(pmf_blocks), axis=-1)
+        # one sum over the concatenated tables: per-block sums round differently
+        freq = np.diff(np.concatenate(
+            [lh.build_cdf_table(pmf) for pmf in pmf_blocks]), axis=-1)
         total += -np.log2(freq[np.arange(len(syms)), syms] / rc.TOTAL).sum()
         return syms
 

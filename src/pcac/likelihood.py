@@ -250,14 +250,22 @@ def build_cdf_table(pmf, precision_bits: int = 16):
     total = 1 << precision_bits
     budget = total - M  # one guaranteed slot per symbol
     scaled = pmf / sums[:, None] * budget
-    base = np.floor(scaled).astype(np.int64)
-    frac = scaled - base
-    leftover = budget - base.sum(axis=-1)
-    # stable argsort on -frac: ties resolve to the lower symbol index
-    order = np.argsort(-frac, axis=-1, kind="stable")
-    bonus = np.zeros((n, M), dtype=np.int64)
-    take = np.arange(M)[None, :] < leftover[:, None]
-    np.put_along_axis(bonus, order, take.astype(np.int64), axis=-1)
+    floored = np.floor(scaled)
+    frac = scaled - floored
+    base = floored.astype(np.int64)
+    leftover = np.clip(budget - base.sum(axis=-1), 0, M)
+    # the leftover slots go to the largest remainders, ties to the lower
+    # symbol index: every remainder above the leftover-th largest (kth) gets
+    # one, and the lowest-index remainders equal to kth fill the rest
+    ranked = np.sort(frac, axis=-1)
+    kth = np.where(leftover > 0,
+                   ranked[np.arange(n), np.minimum(M - leftover, M - 1)],
+                   np.inf)
+    above = frac > kth[:, None]
+    tied = frac == kth[:, None]
+    need = leftover - above.sum(axis=-1)
+    first_tied = np.cumsum(tied, axis=-1, dtype=np.int32) <= need[:, None]
+    bonus = above | (tied & first_tied)
     freq = base + bonus + 1
     cdf = np.zeros((n, M + 1), dtype=np.int64)
     np.cumsum(freq, axis=-1, out=cdf[:, 1:])

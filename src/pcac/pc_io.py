@@ -45,6 +45,8 @@ def _parse_ply_header(f):
         if not tokens or tokens[0] == "comment":
             continue
         if tokens[0] == "format":
+            if len(tokens) < 2:
+                raise MalformedHeader(f"bad format line {line!r}")
             fmt = tokens[1]
         elif tokens[0] == "element":
             if len(tokens) != 3 or not tokens[2].isdigit():
@@ -53,6 +55,8 @@ def _parse_ply_header(f):
         elif tokens[0] == "property":
             if not elements:
                 raise MalformedHeader("property before any element")
+            if len(tokens) < 3 or (tokens[1] == "list" and len(tokens) < 5):
+                raise MalformedHeader(f"bad property line {line!r}")
             if tokens[1] == "list":
                 elements[-1][2].append((tokens[-1], ("list", tokens[2], tokens[3])))
             else:

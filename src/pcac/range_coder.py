@@ -105,12 +105,15 @@ class RangeDecoder:
         return symbol
 
     def decode_symbol(self, cdf) -> int:
+        """Decode one symbol; `cdf` is a sequence of Python ints (a list or
+        an integer memoryview) or an ndarray, which is converted once."""
+        if isinstance(cdf, np.ndarray):
+            cdf = cdf.tolist()
         _check_cdf(cdf)
-        cdf_list = cdf if isinstance(cdf, list) else list(map(int, cdf))
 
         def lookup(dv):
-            s = bisect_right(cdf_list, dv) - 1
-            return s, cdf_list[s], cdf_list[s + 1]
+            s = bisect_right(cdf, dv) - 1
+            return s, cdf[s], cdf[s + 1]
 
         return self._decode_span(lookup, TOTAL)
 
@@ -122,7 +125,7 @@ def encode_with_cdfs(symbols, cdfs) -> bytes:
     """Encode symbols[i] against cdfs[i] (or a single shared cdf)."""
     enc = RangeEncoder()
     if isinstance(cdfs, np.ndarray) and cdfs.ndim == 1:
-        cdfs = [cdfs] * len(symbols)
+        cdfs = [cdfs.tolist()] * len(symbols)
     for s, cdf in zip(symbols, cdfs):
         enc.encode_symbol(int(s), cdf)
     return enc.finish()
@@ -132,7 +135,7 @@ def decode_with_cdfs(data: bytes, cdfs, n: int | None = None):
     dec = RangeDecoder(data)
     if isinstance(cdfs, np.ndarray) and cdfs.ndim == 1:
         assert n is not None
-        cdfs = [cdfs] * n
+        cdfs = [cdfs.tolist()] * n
     return np.array([dec.decode_symbol(cdf) for cdf in cdfs], dtype=np.int64)
 
 

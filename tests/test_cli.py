@@ -85,6 +85,17 @@ def test_malformed_ply_exits_2(workspace, tmp_path, capsys):
     assert not (tmp_path / "x.ply").exists()
 
 
+def test_short_ply_header_line_exits_2(workspace, tmp_path, capsys):
+    # a bare `format` line is a data error, not a traceback
+    ply = tmp_path / "short.ply"
+    ply.write_text("ply\nformat\nend_header\n")
+    out = tmp_path / "x.bin"
+    assert cli.main(["encode", str(ply), "--model",
+                     str(workspace / "model.npz"), "--out", str(out)]) == 2
+    assert "MalformedHeader" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_encode_decode_round_trip(workspace, capsys):
     ply = workspace / "data" / "cloud.ply"
     model = workspace / "model.npz"

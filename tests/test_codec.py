@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pcac import codec
+from pcac import likelihood as lh
 from pcac.errors import (ChecksumFailure, CorruptStream, DigestMismatch,
                          EmptyGeometry, ModelMismatch, ShapeMismatch,
                          SymbolOutOfRange)
@@ -103,6 +104,19 @@ def test_encode_is_deterministic_and_cdfs_agree(model):
     back, dbg3 = codec.decode(coords, s1, model, debug=True)
     assert dbg3.cdf_sha256 == dbg1.cdf_sha256
     np.testing.assert_array_equal(back, rgb[sort_coords(coords)])
+
+
+def test_cdf_rows_are_memoryview_slices_of_block_tables():
+    # rows stream block by block; the hash equals that of the concatenation
+    rng = np.random.default_rng(9)
+    blocks = [rng.dirichlet(np.ones(7), size=n) for n in (5, 1, 3)]
+    hasher = hashlib.sha256()
+    rows = list(codec._cdf_rows(iter(blocks), hasher))
+    table = np.concatenate([lh.build_cdf_table(b) for b in blocks])
+    assert all(isinstance(r, memoryview) for r in rows)
+    assert [r.tolist() for r in rows] == table.tolist()
+    assert all(type(r[3]) is int for r in rows)
+    assert hasher.hexdigest() == hashlib.sha256(table.tobytes()).hexdigest()
 
 
 def test_rate_bounds(model):

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,13 +172,52 @@ def test_cdf_table_rejects_bad_pmfs():
 
 
 def test_cdf_table_deterministic_tie_break():
-    # four identical fractions competing for two leftover slots: the two
+    # six identical fractions competing for four leftover slots: the four
     # lowest symbol indices win
-    pmf = np.full(4, 0.25)
-    # craft a budget situation via a 6-symbol pmf with equal fractions
     cdf1 = lh.build_cdf_table(np.full(6, 1 / 6))
     cdf2 = lh.build_cdf_table(np.full(6, 1 / 6))
     np.testing.assert_array_equal(cdf1, cdf2)
     freq = np.diff(cdf1[0])
     # leftover slots go to the lowest indices
     assert np.all(np.diff(freq) <= 0)
+
+
+def _reference_cdf_row(row, precision_bits=16):
+    """One table row by the rule itself, in plain Python: floor, then one
+    bonus slot per symbol in (-remainder, index) order while the budget
+    lasts, plus the guaranteed 1. Only the scaling uses numpy, because the
+    table must reproduce its float rounding."""
+    M = len(row)
+    budget = (1 << precision_bits) - M
+    scaled = (row / row.sum() * budget).tolist()
+    base = [math.floor(x) for x in scaled]
+    frac = [x - b for x, b in zip(scaled, base)]
+    leftover = budget - sum(base)
+    freq = [b + 1 for b in base]
+    for i in sorted(range(M), key=lambda i: (-frac[i], i))[:max(leftover, 0)]:
+        freq[i] += 1
+    return [0, *itertools.accumulate(freq)]
+
+
+@pytest.mark.parametrize("M", [2, 3, 26, 256])
+def test_cdf_table_matches_reference(M):
+    rng = np.random.default_rng(M)
+    counts = rng.integers(0, 4, size=(40, M)).astype(np.float64)
+    counts[:, 0] += 1
+    k = 3
+    cases = {
+        # small integer counts: many equal remainders straddle the cut
+        "tie-heavy": counts / counts.sum(axis=-1, keepdims=True),
+        # M equal remainders, leftover slots go to the lowest indices
+        "uniform": np.full((1, M), 1.0 / M),
+        # the whole budget lands on one symbol: leftover == 0
+        "one-hot": np.eye(M)[:8],
+        "dirichlet": rng.dirichlet(np.full(M, 0.3), size=40),
+        "dlm": lh.dlm_pmf(rng.normal(size=(40, k)),
+                          rng.uniform(-1.2, 1.2, size=(40, k)),
+                          rng.uniform(-7.0, 0.5, size=(40, k)),
+                          lh.SymbolGrid(M)),
+    }
+    for name, pmf in cases.items():
+        expected = [_reference_cdf_row(row) for row in pmf]
+        assert lh.build_cdf_table(pmf).tolist() == expected, name

@@ -81,6 +81,11 @@ def test_read_rejects_bad_files(tmp_path):
         with pytest.raises(MalformedHeader, match="element"):
             pc_io.read_ply(write("f.ply", [
                 line.replace("vertex 1", f"vertex {count}") for line in header]))
+    # header lines with too few tokens
+    for short in (["format"], ["element vertex 1", "property"],
+                  ["element vertex 1", "property list uchar"]):
+        with pytest.raises(MalformedHeader, match="bad (format|property)"):
+            pc_io.read_ply(write("h.ply", ["ply", *short, "end_header"]))
     binary = tmp_path / "g.ply"
     pc_io.write_ply(make_cloud(np.random.default_rng(2), n=40), binary)
     raw = binary.read_bytes()

@@ -16,7 +16,9 @@ def test_round_trip_single_cdf():
     rng = np.random.default_rng(0)
     cdf = random_cdf(rng, 17)
     syms = rng.integers(0, 17, size=500)
+    # one shared 1-D ndarray row codes as the same row given per symbol
     data = rc.encode_with_cdfs(syms, np.asarray(cdf))
+    assert data == rc.encode_with_cdfs(syms, [cdf.tolist()] * len(syms))
     back = rc.decode_with_cdfs(data, np.asarray(cdf), len(syms))
     np.testing.assert_array_equal(syms, back)
 
@@ -106,3 +108,43 @@ def test_empty_stream():
     data = rc.encode_with_cdfs([], [])
     assert len(data) == 4  # flush only
     assert rc.decode_with_cdfs(data, [], 0).size == 0
+
+
+def _row_kinds(table):
+    """The same CDF rows as lists, memoryview slices and ndarray rows."""
+    width = table.shape[1]
+    flat = memoryview(table.reshape(-1))
+    return {"list": table.tolist(),
+            "memoryview": [flat[lo:lo + width]
+                           for lo in range(0, len(flat), width)],
+            "ndarray": list(table)}
+
+
+def test_cdf_row_types_agree():
+    rng = np.random.default_rng(5)
+    table = build_cdf_table(rng.dirichlet(np.ones(26), size=300))
+    assert table.dtype == np.int64
+    syms = rng.integers(0, 26, size=300)
+    rows = _row_kinds(table)
+    streams = {kind: rc.encode_with_cdfs(syms, r) for kind, r in rows.items()}
+    assert len(set(streams.values())) == 1
+    data = streams["list"]
+    for kind, r in rows.items():
+        np.testing.assert_array_equal(rc.decode_with_cdfs(data, r), syms,
+                                      err_msg=kind)
+
+
+def test_memoryview_rows_are_checked():
+    bad_end = _row_kinds(np.array([[0, 100, 65535]]))["memoryview"][0]
+    bad_start = _row_kinds(np.array([[1, 100, 65536]]))["memoryview"][0]
+    zero_width = _row_kinds(np.array([[0, 0, 65536]]))["memoryview"][0]
+    for row in (bad_end, bad_start, zero_width):
+        with pytest.raises(InvalidCdf):
+            rc.RangeEncoder().encode_symbol(0, row)
+    for row in (bad_end, bad_start):
+        with pytest.raises(InvalidCdf):
+            rc.RangeDecoder(b"\0" * 8).decode_symbol(row)
+    # the decoder picks s with cdf[s] <= target < cdf[s + 1], so it never
+    # returns a zero-width symbol
+    data = rc.encode_with_cdfs([1] * 50, [zero_width] * 50)
+    assert rc.decode_with_cdfs(data, [zero_width] * 50).tolist() == [1] * 50
