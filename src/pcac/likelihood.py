@@ -47,11 +47,6 @@ class SymbolGrid:
 RGB_GRID = SymbolGrid(256)
 
 
-def _sigmoid(x):
-    # tanh formulation: one vectorized transcendental, stable in both tails
-    return 0.5 * (np.tanh(0.5 * x) + 1.0)
-
-
 def _clamped_scales(log_scales):
     s = np.exp(np.maximum(log_scales, LOG_SCALE_MIN))
     return np.maximum(s, SCALE_MIN)
@@ -75,13 +70,29 @@ def dlm_pmf(weight_logits, means, log_scales, grid: SymbolGrid):
     if np.any(s <= 0):
         raise InvalidScale("non-positive scale")
     M = grid.num_symbols
-    # edge CDF values, shape (..., K, M+1); first edge -> 0, last -> 1
-    arg = (grid.edges[1:] - mu[..., None]) / s[..., None]
+    # edge CDF values, shape (..., K, M+1), computed in place in one buffer:
+    # sigmoid((e - mu) / s) as 0.5 * (tanh(0.5 * (e - mu) / s) + 1), one
+    # vectorized transcendental, stable in both tails. The first and last
+    # edges get a placeholder 0 and then their saturated values 0 and 1, so
+    # every step runs over the whole contiguous buffer.
+    edges = np.zeros(M + 1)
+    edges[1:M] = grid.edges[1:]
     cdf = np.empty(mu.shape + (M + 1,), dtype=np.float64)
+    np.subtract(edges, mu[..., None], out=cdf)
+    np.divide(cdf, s[..., None], out=cdf)
+    np.multiply(cdf, 0.5, out=cdf)
+    np.tanh(cdf, out=cdf)
+    np.add(cdf, 1.0, out=cdf)
+    np.multiply(cdf, 0.5, out=cdf)
     cdf[..., 0] = 0.0
-    cdf[..., 1:M] = _sigmoid(arg)
     cdf[..., M] = 1.0
-    comp = np.diff(cdf, axis=-1)
+    # bin masses cdf[m+1] - cdf[m] (np.diff) as one subtraction over the
+    # flat buffer; the difference across a row boundary lands in the last
+    # column, which the (..., K, M) view leaves out
+    flat = cdf.reshape(-1)
+    diff = np.empty_like(cdf)
+    np.subtract(flat[1:], flat[:-1], out=diff.reshape(-1)[:-1])
+    comp = diff[..., :M]
     return np.einsum("...k,...km->...m", w, comp)
 
 

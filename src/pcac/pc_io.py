@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (EmptyGeometry, MalformedHeader, MissingProperty,
-                     OutOfRange, UnsupportedFormat)
+                     OutOfRange, SymbolOutOfRange, UnsupportedFormat)
 from .tensor_core import SparseTensor, build_sparse_tensor, pack_coords
 
 _PLY_DTYPES = {
@@ -57,6 +58,9 @@ def _parse_ply_header(f):
                 raise MalformedHeader("property before any element")
             if len(tokens) < 3 or (tokens[1] == "list" and len(tokens) < 5):
                 raise MalformedHeader(f"bad property line {line!r}")
+            if any(tokens[-1] == p[0] for p in elements[-1][2]):
+                raise MalformedHeader(
+                    f"property {tokens[-1]!r} repeated in {elements[-1][0]!r}")
             if tokens[1] == "list":
                 elements[-1][2].append((tokens[-1], ("list", tokens[2], tokens[3])))
             else:
@@ -105,17 +109,22 @@ def _read_cloud(path, required) -> PointCloud:
                      for i, n in enumerate(names)}
         else:
             dtype = np.dtype([(n, "<" + code) for n, code in props])
-            data = f.read(dtype.itemsize * count)
-            if len(data) < dtype.itemsize * count:
+            # checked against the file's size before reading, so a count
+            # too large for one read is no different from a cut file
+            left = os.fstat(f.fileno()).st_size - f.tell()
+            if left < dtype.itemsize * count:
                 raise MalformedHeader(
-                    f"file ends after {len(data) // dtype.itemsize} of "
+                    f"file ends after {left // dtype.itemsize} of "
                     f"{count} vertices")
-            raw = np.frombuffer(data, dtype=dtype, count=count)
+            raw = np.frombuffer(f.read(dtype.itemsize * count), dtype=dtype,
+                                count=count)
             table = {n: raw[n].astype(np.float64) for n in names}
     positions = np.stack([table["x"], table["y"], table["z"]], axis=1)
     if not all(c in table for c in _RGB):
         return PointCloud(positions, np.empty((count, 0)))
     colors = np.stack([table[c] for c in _RGB], axis=1)
+    if not np.all(np.isfinite(colors) & (np.floor(colors) == colors)):
+        raise SymbolOutOfRange("colour values must be integers")
     return PointCloud(positions, colors.astype(np.int64))
 
 

@@ -60,27 +60,38 @@ def test_missing_files_exit_2(workspace, tmp_path, capsys):
 
 
 def test_malformed_ply_exits_2(workspace, tmp_path, capsys):
-    # a binary PLY cut short of its vertex count, and an ASCII PLY with a
-    # non-numeric value, are data errors for every command that reads one
+    # a binary PLY cut short of its vertex count, an ASCII PLY with a
+    # non-numeric value, a vertex property named twice (binary or ASCII) and
+    # a colour that is not an integer are data errors for every command
+    # that reads one
     raw = (workspace / "data" / "cloud.ply").read_bytes()
     cut = tmp_path / "cut.ply"
     cut.write_bytes(raw[:len(raw) // 2])
-    text = tmp_path / "text.ply"
-    text.write_text("\n".join([
-        "ply", "format ascii 1.0", "element vertex 1",
-        "property float x", "property float y", "property float z",
-        "property uchar red", "property uchar green", "property uchar blue",
-        "end_header", "1 2 z 3 4 5"]) + "\n")
+    repeated = tmp_path / "repeated.ply"
+    repeated.write_bytes(raw.replace(b"property float z", b"property float x"))
+    header = ["ply", "format ascii 1.0", "element vertex 1",
+              "property float x", "property float y", "property float z",
+              "property uchar red", "property uchar green",
+              "property uchar blue", "end_header"]
+    texts = {"text": header + ["1 2 z 3 4 5"],
+             "repeated_text": header[:6] + ["property float x"] + header[6:]
+             + ["1 2 3 4 5 6 7"],
+             "fractional": header + ["1 2 3 4.7 5 6"]}
+    for name, lines in texts.items():
+        (tmp_path / f"{name}.ply").write_text("\n".join(lines) + "\n")
     bitstream = _encode_workspace_cloud(workspace, tmp_path)
     model = str(workspace / "model.npz")
     capsys.readouterr()
-    for ply in (cut, text):
+    for ply, error in ((cut, "MalformedHeader"), (repeated, "MalformedHeader"),
+                       (tmp_path / "text.ply", "MalformedHeader"),
+                       (tmp_path / "repeated_text.ply", "MalformedHeader"),
+                       (tmp_path / "fractional.ply", "SymbolOutOfRange")):
         for command in (["encode", str(ply), "--model", model,
                          "--out", str(tmp_path / "x.bin")],
                         ["decode", str(ply), str(bitstream), "--model", model,
                          "--out", str(tmp_path / "x.ply")]):
             assert cli.main(command) == 2
-            assert "MalformedHeader" in capsys.readouterr().err
+            assert error in capsys.readouterr().err
     assert not (tmp_path / "x.bin").exists()
     assert not (tmp_path / "x.ply").exists()
 

@@ -119,6 +119,30 @@ def test_cdf_rows_are_memoryview_slices_of_block_tables():
     assert hasher.hexdigest() == hashlib.sha256(table.tobytes()).hexdigest()
 
 
+def test_cdf_block_size_is_not_part_of_the_format(model, monkeypatch):
+    # the pmf/CDF block size bounds memory only: every consumer is row-wise
+    coords, rgb = random_block(np.random.default_rng(13), lo=250, hi=400)
+    default = codec._CDF_CHUNK_ROWS
+    assert len(coords) > default
+
+    def run(rows, mode):
+        monkeypatch.setattr(codec, "_CDF_CHUNK_ROWS", rows)
+        stream, enc = codec.encode(coords, rgb, model, debug=True)
+        back, dec = codec.decode(coords, stream, model, debug=True)
+        scalable = [codec.decode_scalable(
+            coords, codec.truncate_bitstream(stream, k), model, mode=mode,
+            seed=5).tobytes() for k in (1, 3)]
+        return (stream, enc.cdf_sha256, dec.cdf_sha256, back.tobytes(),
+                scalable, codec.quantized_info_bits(model, coords, rgb))
+
+    assert run(1, "sample") == run(7, "sample") == run(default, "sample")
+    # mode "mean" sums each row with a BLAS matrix-vector product, whose
+    # summation order can depend on the row's place in its block (OpenBLAS
+    # works in groups of 4 rows): blocks of 64 give the decodes of the
+    # 2048-row blocks the golden fixture was recorded with
+    assert run(2048, "mean") == run(default, "mean")
+
+
 def test_rate_bounds(model):
     # measured size close to the cross-entropy estimate and at least the
     # information content of the quantized tables

@@ -30,7 +30,7 @@ def block(name):
         coords = np.unique(rng.integers(0, 16, size=(320, 3)), axis=0)
     else:
         # one point in every level-1 voxel of a 13^3 cube: levels 0 and 1
-        # both hold 2197 points, more than the 2048 of a pmf/CDF block
+        # both hold 2197 points, so their passes span many pmf/CDF blocks
         cube = np.stack(np.meshgrid(*[np.arange(13)] * 3, indexing="ij"),
                         axis=-1).reshape(-1, 3)
         coords = 2 * cube + rng.integers(0, 2, size=cube.shape)

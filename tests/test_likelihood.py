@@ -50,6 +50,50 @@ def test_dlm_pmf_normalizes(seed):
         np.testing.assert_allclose(pmf.sum(-1), 1.0, atol=1e-9)
 
 
+def reference_dlm_pmf(weight_logits, means, log_scales, grid):
+    # the out-of-place expression the coder's pmf must keep bit for bit
+    z = weight_logits - weight_logits.max(axis=-1, keepdims=True)
+    w = np.exp(z) / np.exp(z).sum(axis=-1, keepdims=True)
+    s = np.maximum(np.exp(np.maximum(log_scales, lh.LOG_SCALE_MIN)),
+                   lh.SCALE_MIN)
+    M = grid.num_symbols
+    arg = (grid.edges[1:] - means[..., None]) / s[..., None]
+    cdf = np.empty(means.shape + (M + 1,))
+    cdf[..., 0] = 0.0
+    cdf[..., 1:M] = 0.5 * (np.tanh(0.5 * arg) + 1.0)
+    cdf[..., M] = 1.0
+    return np.einsum("...k,...km->...m", w, np.diff(cdf, axis=-1))
+
+
+@pytest.mark.parametrize("grid", [lh.RGB_GRID, lh.SymbolGrid(26)],
+                         ids=["rgb", "latent"])
+@pytest.mark.parametrize("k", [1, 4, 10])
+def test_dlm_pmf_matches_out_of_place_reference(grid, k):
+    rng = np.random.default_rng(k)
+    n = 300
+    w = rng.normal(size=(n, k)) * 3
+    mu = rng.normal(size=(n, k)) * 1.5
+    ls = rng.normal(size=(n, k)) * 2 - 3
+    ls[:40] = lh.LOG_SCALE_MIN - rng.uniform(0.1, 20, size=(40, k))
+    mu[40:80] = rng.choice([-1, 1], size=(40, k)) * rng.uniform(1.5, 1e3, (40, k))
+    cases = [(w, mu, ls), (w[:1], mu[:1], ls[:1]), (w[:0], mu[:0], ls[:0]),
+             (w.reshape(60, 5, k), mu.reshape(60, 5, k), ls.reshape(60, 5, k))]
+    for args in cases:
+        pmf = lh.dlm_pmf(*args, grid)
+        assert pmf.shape == args[0].shape[:-1] + (grid.num_symbols,)
+        assert np.array_equal(pmf, reference_dlm_pmf(*args, grid))
+    # the saturated end bins are present: all mass in the first or last bin
+    pmf = lh.dlm_pmf(w, mu, ls, grid)
+    far = np.all(np.abs(mu[40:80]) - 1 > 20 * np.exp(ls[40:80]), axis=-1)
+    assert far.sum() > 10
+    assert np.allclose(pmf[40:80][far][:, [0, -1]].sum(axis=-1), 1.0)
+    # rows are independent: a batch equals its slices, bit for bit
+    slices = np.concatenate([lh.dlm_pmf(w[lo:lo + 7], mu[lo:lo + 7],
+                                        ls[lo:lo + 7], grid)
+                             for lo in range(0, n, 7)])
+    assert np.array_equal(pmf, slices)
+
+
 def test_rgb_joint_enumeration_sums_to_one():
     # [DERIVED] brute force: sum over all (r,g,b) on an 8-symbol grid
     rng = np.random.default_rng(0)

@@ -3,7 +3,7 @@ import pytest
 
 from pcac import pc_io
 from pcac.errors import (MalformedHeader, MissingProperty, OutOfRange,
-                         UnsupportedFormat)
+                         SymbolOutOfRange, UnsupportedFormat)
 from pcac.tensor_core import build_sparse_tensor
 
 
@@ -92,6 +92,20 @@ def test_read_rejects_bad_files(tmp_path):
     binary.write_bytes(raw[:len(raw) - 15 * 20])  # 20 of 40 vertices left
     with pytest.raises(MalformedHeader, match="20 of 40"):
         pc_io.read_ply(binary)
+    # a count no read can hold is a cut file too
+    binary.write_bytes(raw.replace(b"vertex 40", b"vertex 99999999999999999999"))
+    with pytest.raises(MalformedHeader, match="40 of 99999999999999999999"):
+        pc_io.read_ply(binary)
+    # a property name repeated within one element, ascii and binary
+    repeated = header[:6] + ["property float x"] + header[6:]
+    with pytest.raises(MalformedHeader, match="repeated"):
+        pc_io.read_ply(write("i.ply", repeated + ["1 2 3 4 5 6 7"]))
+    binary.write_bytes(raw.replace(b"property float z", b"property float x"))
+    with pytest.raises(MalformedHeader, match="repeated"):
+        pc_io.read_ply(binary)
+    # a colour that is not an integer is not silently truncated
+    with pytest.raises(SymbolOutOfRange):
+        pc_io.read_ply(write("j.ply", header + ["1 2 3 4.7 5 6"]))
 
 
 def test_voxelize_merges_duplicates_with_mean():
