@@ -8,8 +8,9 @@ bitstream; it is a decode-side input.
 
 One top-down driver, `_top_down`, runs that chain for `encode`, `decode`,
 `decode_scalable` and `quantized_info_bits`. They differ only in what they do
-with the pmfs of each coding pass: write the known symbols, read them,
-estimate a chunk missing from the stream, or sum their information content.
+with the mixture of each coding pass: code the known symbols' spans, read
+symbols against full CDF rows, estimate a chunk missing from the stream, or
+sum the spans' information content.
 """
 
 from __future__ import annotations
@@ -26,15 +27,16 @@ import numpy as np
 from . import autodiff as ad
 from . import likelihood as lh
 from . import range_coder as rc
-from .errors import (ChecksumFailure, CorruptStream, DigestMismatch,
-                     ModelMismatch, ShapeMismatch, SymbolOutOfRange)
+from .errors import (ChecksumFailure, CorruptStream, DesyncError,
+                     DigestMismatch, ModelMismatch, ShapeMismatch,
+                     SymbolOutOfRange)
 from .quantizer import QuantizerConfig, dequantize, quantize_hard, quantize_soft
 from .sparse_nn import KernelMapCache, ModelConfig, ScaleDecoder, ScaleEncoder
 from .tensor_core import build_pyramid, sort_coords
 
 MAGIC = b"MNET"
 FILE_MAGIC = b"MNEF"
-VERSION = 2
+VERSION = 3
 
 
 class CodecModel:
@@ -260,11 +262,12 @@ def _read_chunks(buf: bytes):
 
 def _header(model: CodecModel, level_counts) -> bytes:
     n_levels = len(level_counts)
-    return (MAGIC + struct.pack("<BB", VERSION, n_levels - 1)
-            + struct.pack(f"<{n_levels}I", *level_counts)
-            + model.digest()
-            + struct.pack("<HH", lh.RGB_GRID.num_symbols,
-                          model.config.num_bins))
+    fields = (MAGIC + struct.pack("<BB", VERSION, n_levels - 1)
+              + struct.pack(f"<{n_levels}I", *level_counts)
+              + model.digest()
+              + struct.pack("<HH", lh.RGB_GRID.num_symbols,
+                            model.config.num_bins))
+    return fields + struct.pack("<I", zlib.crc32(fields))
 
 
 def _parse_header(buf: bytes):
@@ -273,58 +276,85 @@ def _parse_header(buf: bytes):
     version, num_scales = struct.unpack_from("<BB", buf, 4)
     if version != VERSION:
         raise CorruptStream(f"unsupported version {version}")
-    if len(buf) < header_size(num_scales):
+    end = header_size(num_scales)
+    if len(buf) < end:
         raise CorruptStream("truncated header")
+    if zlib.crc32(buf[:end - 4]) != struct.unpack_from("<I", buf, end - 4)[0]:
+        raise ChecksumFailure("header checksum mismatch")
     off = 6
     counts = struct.unpack_from(f"<{num_scales + 1}I", buf, off)
     off += 4 * (num_scales + 1)
     digest = buf[off:off + 8]
     off += 8
     f_alpha, latent_alpha = struct.unpack_from("<HH", buf, off)
-    off += 4
     return dict(num_scales=num_scales, counts=counts, digest=digest,
-                f_alphabet=f_alpha, latent_alphabet=latent_alpha), off
+                f_alphabet=f_alpha, latent_alphabet=latent_alpha), end
 
 
 def header_size(num_scales: int) -> int:
-    return 6 + 4 * (num_scales + 1) + 8 + 4
+    """Magic, version, scale count, point counts, digest, alphabets, CRC32."""
+    return 6 + 4 * (num_scales + 1) + 8 + 4 + 4
 
 
 # ------------------------------------------------------------------- coding
 
-# Points per pmf/CDF block. Tables, streams and decodes are built row by row,
-# so the block size changes none of them, only speed: at 64 points an RGB
-# block's edge-CDF buffer is 1.3 MB (K = 10, M = 256) and stays in a 2 MB L2
-# cache through the in-place steps of `dlm_pmf`. Interleaved timings of
-# encode, decode and scalable decode (1 BLAS thread) put 64 ahead of 128, 256
-# and 2048 on the default model (K = 10) and level with 128 and 256 on a
-# 4-mixture model; below 64 the fixed cost per `build_cdf_table` call takes
-# over. `decode_scalable`'s mode "mean" sums rows with a BLAS matrix-vector
-# product, whose order can depend on a row's place in its block (OpenBLAS
-# groups rows by 4), so the size stays a multiple of 64.
+# Points per block of the decoder's integer CDF rows and of the pmfs that
+# estimate a missing chunk. Every row, stream and decode is the same for any
+# block size, which sets only speed and memory: at 64 points an RGB block's
+# edge buffer is 1.3 MB (K = 10, M = 256) and stays in a 2 MB L2 cache
+# through the in-place steps of `mixture_cdf` and `dlm_pmf`. Decode and
+# scalable decode timed level (within run-to-run noise) at 32, 64, 128 and
+# 256 points on both benchmark inputs; 2048 made a 42 MB buffer.
 _CDF_CHUNK_ROWS = 64
 
 
-def _pmf_blocks(num_points: int, pmfs):
-    """pmfs(rows) over consecutive slices of points, as 2-D pmf row blocks."""
+def _blocks(num_points: int):
     for lo in range(0, num_points, _CDF_CHUNK_ROWS):
-        block = pmfs(slice(lo, lo + _CDF_CHUNK_ROWS))
-        yield block.reshape(-1, block.shape[-1])
+        yield slice(lo, lo + _CDF_CHUNK_ROWS)
 
 
-def _cdf_rows(pmf_blocks, hasher=None):
-    """The integer CDF rows of the pmf blocks, in order. One table is built
-    per block; each row is a slice of a memoryview of it, so its items are
-    Python ints and no row is copied. Hashing the tables block by block
-    equals hashing their concatenation."""
-    for pmf in pmf_blocks:
-        table = lh.build_cdf_table(pmf)
-        if hasher is not None:
-            hasher.update(table)
-        width = table.shape[1]
-        flat = memoryview(table.reshape(-1))
-        for lo in range(0, len(flat), width):
-            yield flat[lo:lo + width]
+def _spans(grid: lh.SymbolGrid, params, symbols):
+    """(lo, hi) of each coded symbol of a pass in coding order: the pointwise
+    CDF at the symbol's two edges, over the whole pass at once."""
+    w, mu, s = lh.mixture_terms(*params)
+    symbols = symbols.reshape(mu.shape[:-1])
+    cdf = lh.pointwise_cdf(w, mu, s, grid,
+                           np.stack([symbols, symbols + 1], axis=-1))
+    return cdf[..., 0].reshape(-1), cdf[..., 1].reshape(-1)
+
+
+def _cdf_tables(grid: lh.SymbolGrid, params):
+    """The pass's full integer CDF rows in coding order, as one (rows, M+1)
+    table per block of points; F at every edge of a row, bit for bit the
+    values `_spans` takes at two of them."""
+    w, mu, s = lh.mixture_terms(*params)
+    edges = np.arange(grid.num_symbols + 1)
+    for rows in _blocks(len(mu)):
+        yield lh.pointwise_cdf(w[rows], mu[rows], s[rows], grid,
+                               edges).reshape(-1, len(edges))
+
+
+def _rows(table):
+    """The rows of an integer table as slices of one memoryview: their items
+    are Python ints, and no row is copied."""
+    width = table.shape[1]
+    flat = memoryview(table.reshape(-1))
+    return [flat[lo:lo + width] for lo in range(0, len(flat), width)]
+
+
+class _SpanHash:
+    """CRC32 per chunk, and optionally one SHA-256 over all chunks, of the
+    coded (lo, hi) span sequence, as little-endian uint32 pairs."""
+
+    def __init__(self, num_chunks: int, sha256: bool):
+        self.crc = [0] * num_chunks
+        self.sha = hashlib.sha256() if sha256 else None
+
+    def add(self, chunk: int, lo, hi):
+        data = np.stack([lo, hi], axis=-1).astype("<u4").tobytes()
+        self.crc[chunk] = zlib.crc32(data, self.crc[chunk])
+        if self.sha is not None:
+            self.sha.update(data)
 
 
 def _top_down(model: CodecModel, maps: KernelMapCache, symbols, code_pass):
@@ -334,8 +364,9 @@ def _top_down(model: CodecModel, maps: KernelMapCache, symbols, code_pass):
     each decoder runs on the dequantized symbols of the level above and
     predicts the next level, which is coded in passes: one per latent level
     (rows point-major, channel-minor), three for RGB (R, G given R, B given
-    R and G). code_pass(chunk, pmf_blocks) gets the pass's chunk index and
-    its pmf rows in blocks, and returns its symbols. Returns the RGB symbols.
+    R and G). code_pass(chunk, grid, params) gets the pass's chunk index,
+    symbol grid and mixture (weight logits, means, log-scales, each
+    (points, ..., K)), and returns its symbols. Returns the RGB symbols.
     """
     cfg = model.config
     forwarded = None
@@ -346,20 +377,17 @@ def _top_down(model: CodecModel, maps: KernelMapCache, symbols, code_pass):
             ad.constant(dequantize(symbols, model.quantizer)),
             None if forwarded is None else ad.constant(forwarded), maps))
         if n > 1:
-            symbols = code_pass(cfg.num_scales + 1 - n, _pmf_blocks(
-                len(p), lambda rows: lh.latent_pmfs(
-                    p[rows], cfg.latent_channels, cfg.mixtures,
-                    model.latent_grid)))
+            symbols = code_pass(cfg.num_scales + 1 - n, model.latent_grid,
+                                lh.unpack_latent_params(
+                                    p, cfg.latent_channels, cfg.mixtures))
             symbols = symbols.reshape(len(p), cfg.latent_channels)
     u = lh.unpack_rgb_params(p, cfg.mixtures)
     rgb = []
     for channel in "rgb":
         # the green and blue means shift with the channels coded before them
         x = [lh.RGB_GRID.centers[s] for s in rgb]
-        rgb.append(code_pass(cfg.num_scales, _pmf_blocks(
-            len(p), lambda rows: lh.rgb_channel_pmf(
-                {k: v[rows] for k, v in u.items()}, channel, lh.RGB_GRID,
-                *(xi[rows] for xi in x)))))
+        rgb.append(code_pass(cfg.num_scales, lh.RGB_GRID,
+                             lh.rgb_channel_params(u, channel, *x)))
     return np.stack(rgb, axis=1)
 
 
@@ -367,6 +395,8 @@ def _top_down(model: CodecModel, maps: KernelMapCache, symbols, code_pass):
 
 @dataclass
 class CodingDebug:
+    """SHA-256 of the coded (lo, hi) span sequence of every mixture-coded
+    chunk; encoder and decoder compute it from the spans they used."""
     cdf_sha256: str
 
 
@@ -374,31 +404,33 @@ def encode(geometry, rgb_features, model: CodecModel,
            debug: bool = False):
     """Compress integer RGB features over known geometry into a bitstream."""
     maps, top, passes = _analyze(model, geometry, rgb_features)
-    hasher = hashlib.sha256() if debug else None
+    spans = _SpanHash(model.config.num_scales, debug)
     encoders = [rc.RangeEncoder() for _ in range(model.config.num_scales)]
 
-    def write(chunk, pmf_blocks):
+    def write(chunk, grid, params):
         syms = next(passes)
-        enc = encoders[chunk - 1]
-        for s, cdf in zip(syms, _cdf_rows(pmf_blocks, hasher)):
-            enc.encode_symbol(int(s), cdf)
+        lo, hi = _spans(grid, params, syms)
+        encoders[chunk - 1].encode_spans(lo, hi)
+        spans.add(chunk - 1, lo, hi)
         return syms
 
     _top_down(model, maps, top, write)
     # top scale: fixed uniform model
     chunks = [rc.encode_uniform(top.reshape(-1), model.config.num_bins)]
-    chunks += [enc.finish() for enc in encoders]
+    chunks += [enc.finish() + struct.pack("<I", crc)
+               for enc, crc in zip(encoders, spans.crc)]
     counts = [len(c) for c in maps.pyramid.coords]
     stream = _header(model, counts) + b"".join(_chunk(c) for c in chunks)
     if debug:
-        return stream, CodingDebug(hasher.hexdigest())
+        return stream, CodingDebug(spans.sha.hexdigest())
     return stream
 
 
 def _decode(geometry, bitstream, model: CodecModel, estimate=None,
-            hasher=None):
+            debug: bool = False):
     """decode and decode_scalable: the symbols of a chunk missing from the
-    stream (allowed only with `estimate`) come from estimate(pmf) per block."""
+    stream (allowed only with `estimate`) come from estimate(pmf) per block.
+    Returns the RGB symbols and the span hashes."""
     header, chunks = _read_chunks(bitstream)
     if header["digest"] != model.digest():
         raise DigestMismatch("bitstream was produced by a different model")
@@ -413,29 +445,44 @@ def _decode(geometry, bitstream, model: CodecModel, estimate=None,
     if not chunks or (estimate is None and len(chunks) != cfg.num_scales + 1):
         raise CorruptStream(
             f"expected {cfg.num_scales + 1} chunks, found {len(chunks)}")
+    if any(len(c) < 4 for c in chunks[1:]):
+        raise CorruptStream("chunk too short for its span hash")
 
     n_top = len(pyramid.coords[cfg.num_scales])
     top = rc.decode_uniform(chunks[0], n_top * cfg.latent_channels,
                             cfg.num_bins).reshape(n_top, cfg.latent_channels)
-    decoders = [rc.RangeDecoder(c) for c in chunks[1:]]
+    decoders = [rc.RangeDecoder(c[:-4]) for c in chunks[1:]]
+    spans = _SpanHash(cfg.num_scales, debug)
 
-    def read(chunk, pmf_blocks):
+    def read(chunk, grid, params):
         if chunk >= len(chunks):
-            return np.concatenate([estimate(pmf) for pmf in pmf_blocks])
+            return np.concatenate([
+                estimate(lh.dlm_pmf(*(a[rows] for a in params), grid)
+                         .reshape(-1, grid.num_symbols))
+                for rows in _blocks(len(params[0]))])
         dec = decoders[chunk - 1]
-        return np.array([dec.decode_symbol(cdf)
-                         for cdf in _cdf_rows(pmf_blocks, hasher)],
-                        dtype=np.int64)
+        out = []
+        for table in _cdf_tables(grid, params):
+            syms = np.array([dec.decode_symbol(row) for row in _rows(table)],
+                            dtype=np.int64)
+            rows = np.arange(len(syms))
+            spans.add(chunk - 1, table[rows, syms], table[rows, syms + 1])
+            out.append(syms)
+        return np.concatenate(out)
 
-    return _top_down(model, KernelMapCache(pyramid), top, read)
+    rgb = _top_down(model, KernelMapCache(pyramid), top, read)
+    for chunk, payload in enumerate(chunks[1:], start=1):
+        if struct.unpack("<I", payload[-4:])[0] != spans.crc[chunk - 1]:
+            raise DesyncError(f"chunk {chunk}: the decoded spans differ from "
+                              "the encoded ones")
+    return rgb, spans
 
 
 def decode(geometry, bitstream, model: CodecModel, debug: bool = False):
     """Exact inverse of encode; returns (N, 3) integer RGB in canonical order."""
-    hasher = hashlib.sha256() if debug else None
-    rgb = _decode(geometry, bitstream, model, hasher=hasher)
+    rgb, spans = _decode(geometry, bitstream, model, debug=debug)
     if debug:
-        return rgb, CodingDebug(hasher.hexdigest())
+        return rgb, CodingDebug(spans.sha.hexdigest())
     return rgb
 
 
@@ -454,7 +501,11 @@ def decode_scalable(geometry, bitstream, model: CodecModel,
 
     def estimate(pmf):
         if mode == "mean":
-            exp = pmf @ np.arange(pmf.shape[-1], dtype=np.float64)
+            # numpy sums each row along its contiguous last axis by itself,
+            # in an order set by the row length alone, so a row's
+            # expectation does not depend on its place in the block (a BLAS
+            # matrix-vector product's does)
+            exp = (pmf * np.arange(pmf.shape[-1])).sum(axis=-1)
             sym = np.clip(np.floor(exp + 0.5), 0, pmf.shape[-1] - 1)
         else:
             cum = np.cumsum(pmf, axis=-1)
@@ -462,7 +513,7 @@ def decode_scalable(geometry, bitstream, model: CodecModel,
             sym = (u > cum[:, :-1]).sum(axis=-1)
         return sym.astype(np.int64)
 
-    return _decode(geometry, bitstream, model, estimate)
+    return _decode(geometry, bitstream, model, estimate)[0]
 
 
 def truncate_bitstream(bitstream: bytes, num_chunks: int) -> bytes:
@@ -516,28 +567,21 @@ def block_loss(model: CodecModel, maps: KernelMapCache, rgb,
 
 
 def quantized_info_bits(model: CodecModel, geometry, rgb_features) -> float:
-    """Information content of a block under the integer tables the coder uses.
+    """Information content of a block under the integer CDFs the coder uses.
 
-    Sum over all coded symbols of -log2(freq/2^16) (uniform widths for the
-    top scale); the coded payload can never be shorter than this.
+    Sum over all coded symbols of -log2((hi - lo)/2^16) over the spans the
+    encoder codes (uniform widths for the top scale); the coded payload can
+    never be shorter than this.
     """
     maps, top, passes = _analyze(model, geometry, rgb_features)
     # the uniform coder gives every symbol width 1 out of num_bins
     total = top.size * float(np.log2(model.config.num_bins))
 
-    def count(chunk, pmf_blocks):
+    def count(chunk, grid, params):
         nonlocal total
         syms = next(passes)
-        # per block, only the coded symbols' widths; one sum over all of
-        # them, because per-block sums round differently
-        widths, lo = [], 0
-        for pmf in pmf_blocks:
-            table = lh.build_cdf_table(pmf)
-            rows = np.arange(len(table))
-            s = syms[lo:lo + len(table)]
-            widths.append(table[rows, s + 1] - table[rows, s])
-            lo += len(table)
-        total += -np.log2(np.concatenate(widths) / rc.TOTAL).sum()
+        lo, hi = _spans(grid, params, syms)
+        total += -np.log2((hi - lo) / rc.TOTAL).sum()
         return syms
 
     _top_down(model, maps, top, count)

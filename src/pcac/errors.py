@@ -61,6 +61,11 @@ class ChecksumFailure(CorruptStream):
     pass
 
 
+class DesyncError(PcacError):
+    """The decoder's CDFs differ from the encoder's: the coded span
+    sequence of a chunk does not match the hash stored with it."""
+
+
 class DigestMismatch(PcacError):
     pass
 

@@ -1,4 +1,4 @@
-"""Discretized logistic mixture models and integer CDF tables.
+"""Discretized logistic mixture models, the coder's integer CDFs, CDF tables.
 
 Two parameterizations share the same math:
   * latents: per point, per channel, an independent K-component mixture
@@ -9,7 +9,9 @@ Two parameterizations share the same math:
 
 The numpy functions here are the coding path; the *_bits functions build the
 same probabilities as autodiff graphs for training. Both apply identical
-clamps so encoder and decoder tables agree bit for bit.
+clamps. The coder takes its integer CDFs from `pointwise_cdf`, which needs
+the mixture CDF only at the edges it is asked for, and gives the encoder
+(two edges per symbol) and the decoder (whole rows) the same integers.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ class SymbolGrid:
         self.half_width = 1.0 / (num_symbols - 1)
         # interior bin edges; the end bins absorb the tails
         self.edges = self.centers - self.half_width  # edges[1:] are interior
+        # the M + 1 edges of the coder's CDF; the two end edges are
+        # placeholders whose CDF values are fixed at 0 and 1
+        self.cdf_edges = np.concatenate([[0.0], self.edges[1:], [0.0]])
 
     def lower_edge(self, symbols):
         return self.edges[np.asarray(symbols)]
@@ -58,27 +63,32 @@ def _softmax(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def mixture_terms(weight_logits, means, log_scales):
+    """Mixture weights (softmax of the logits), means and clamped scales,
+    each (..., K)."""
+    w = _softmax(np.asarray(weight_logits, dtype=np.float64))
+    mu = np.asarray(means, dtype=np.float64)
+    s = _clamped_scales(np.asarray(log_scales, dtype=np.float64))
+    if np.any(s <= 0):
+        raise InvalidScale("non-positive scale")
+    return w, mu, s
+
+
 def dlm_pmf(weight_logits, means, log_scales, grid: SymbolGrid):
     """Mixture pmf over grid symbols. Inputs are (..., K); output (..., M).
 
     The pmf is a telescoping difference of the mixture CDF at bin edges with
     saturated end bins, so it sums to 1 up to float addition error.
     """
-    w = _softmax(np.asarray(weight_logits, dtype=np.float64))
-    mu = np.asarray(means, dtype=np.float64)
-    s = _clamped_scales(np.asarray(log_scales, dtype=np.float64))
-    if np.any(s <= 0):
-        raise InvalidScale("non-positive scale")
+    w, mu, s = mixture_terms(weight_logits, means, log_scales)
     M = grid.num_symbols
     # edge CDF values, shape (..., K, M+1), computed in place in one buffer:
     # sigmoid((e - mu) / s) as 0.5 * (tanh(0.5 * (e - mu) / s) + 1), one
     # vectorized transcendental, stable in both tails. The first and last
     # edges get a placeholder 0 and then their saturated values 0 and 1, so
     # every step runs over the whole contiguous buffer.
-    edges = np.zeros(M + 1)
-    edges[1:M] = grid.edges[1:]
     cdf = np.empty(mu.shape + (M + 1,), dtype=np.float64)
-    np.subtract(edges, mu[..., None], out=cdf)
+    np.subtract(grid.cdf_edges, mu[..., None], out=cdf)
     np.divide(cdf, s[..., None], out=cdf)
     np.multiply(cdf, 0.5, out=cdf)
     np.tanh(cdf, out=cdf)
@@ -94,6 +104,55 @@ def dlm_pmf(weight_logits, means, log_scales, grid: SymbolGrid):
     np.subtract(flat[1:], flat[:-1], out=diff.reshape(-1)[:-1])
     comp = diff[..., :M]
     return np.einsum("...k,...km->...m", w, comp)
+
+
+def mixture_cdf(w, mu, s, edges):
+    """Mixture CDF F(e) = sum_k w_k sigmoid((e - mu_k) / s_k) at `edges`.
+
+    `w`, `mu`, `s` are (..., K), as `mixture_terms` returns them; `edges`
+    is (..., E) and broadcasts against their leading axes; returns (..., E).
+    The sigmoid is 0.5 * (tanh(x / 2) + 1), with x / 2 taken as
+    (e - mu) * (0.5 / s). Every value goes through the same elementwise
+    ufuncs whatever the shapes, and the sum over k runs as a loop in a fixed
+    order, so F at some edges of a row is bit for bit F at those edges of
+    the whole row. Each step is monotone in e, and so is F.
+    """
+    def k_first(a):  # (..., K) -> (K, ..., 1)
+        return np.moveaxis(a, -1, 0)[..., None]
+
+    t = np.subtract(edges, k_first(mu))
+    np.multiply(t, k_first(0.5 / s), out=t)
+    np.tanh(t, out=t)
+    np.add(t, 1.0, out=t)
+    np.multiply(t, k_first(0.5 * w), out=t)
+    cdf = t[0].copy()
+    for term in t[1:]:
+        cdf += term
+    return cdf
+
+
+def pointwise_cdf(w, mu, s, grid: SymbolGrid, edge_index,
+                  precision_bits: int = 16):
+    """The coder's integer CDF at edge indices `edge_index` (..., E) in 0..M.
+
+    cdf(m) = floor(F(e_m) * (2**precision_bits - M)) + m, with F from
+    `mixture_cdf`, fixed at 0 for m = 0 and at 1 for m = M. The rule needs
+    no table: a symbol's span takes F at its own two edges only. As F is
+    monotone, every symbol gets a width of at least 1, and a row runs from 0
+    to 2**precision_bits.
+    """
+    M = grid.num_symbols
+    m = np.asarray(edge_index, dtype=np.int64)
+    cdf = mixture_cdf(w, mu, s, grid.cdf_edges[m])
+    np.copyto(cdf, 0.0, where=m == 0)
+    np.copyto(cdf, 1.0, where=m == M)
+    if not np.all(np.isfinite(cdf)):
+        raise DegeneratePmf("mixture CDF is not finite")
+    np.multiply(cdf, (1 << precision_bits) - M, out=cdf)
+    np.floor(cdf, out=cdf)
+    out = cdf.astype(np.int64)
+    out += m
+    return out
 
 
 def unpack_latent_params(params, num_channels: int, num_mixtures: int):
@@ -132,20 +191,26 @@ def unpack_rgb_params(params, num_mixtures: int):
     }
 
 
-def rgb_channel_pmf(unpacked, channel: str, grid: SymbolGrid,
-                    x_r=None, x_g=None):
-    """pmf of one RGB channel; green/blue means shift with decoded values."""
+def rgb_channel_params(unpacked, channel: str, x_r=None, x_g=None):
+    """(weight logits, means, log scales) of one RGB channel, each (N, K);
+    green/blue means shift with the decoded values x_r, x_g."""
     u = unpacked
     if channel == "r":
-        return dlm_pmf(u["w_r"], u["mu_r"], u["ls_r"], grid)
+        return u["w_r"], u["mu_r"], u["ls_r"]
     if channel == "g":
         mu = u["mu_g"] + u["c_gr"] * np.asarray(x_r)[:, None]
-        return dlm_pmf(u["w_g"], mu, u["ls_g"], grid)
+        return u["w_g"], mu, u["ls_g"]
     if channel == "b":
         mu = (u["mu_b"] + u["c_br"] * np.asarray(x_r)[:, None]
               + u["c_bg"] * np.asarray(x_g)[:, None])
-        return dlm_pmf(u["w_b"], mu, u["ls_b"], grid)
+        return u["w_b"], mu, u["ls_b"]
     raise ValueError(channel)
+
+
+def rgb_channel_pmf(unpacked, channel: str, grid: SymbolGrid,
+                    x_r=None, x_g=None):
+    """pmf of one RGB channel; green/blue means shift with decoded values."""
+    return dlm_pmf(*rgb_channel_params(unpacked, channel, x_r, x_g), grid)
 
 
 def rgb_joint_logprob(params, r, g, b, num_mixtures: int = 10,

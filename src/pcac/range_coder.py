@@ -61,6 +61,17 @@ class RangeEncoder:
             raise InvalidCdf(f"symbol {symbol} has zero width")
         self._encode_span(lo, hi, TOTAL)
 
+    def encode_spans(self, lo, hi):
+        """Encode a sequence of symbols given by their spans [lo, hi) out of
+        TOTAL (two integer arrays), as encode_symbol codes one symbol with
+        lo = cdf[symbol] and hi = cdf[symbol + 1]."""
+        lo = np.asarray(lo, dtype=np.int64)
+        hi = np.asarray(hi, dtype=np.int64)
+        if np.any(lo < 0) or np.any(hi > TOTAL) or np.any(lo >= hi):
+            raise InvalidCdf("a span has zero width or leaves 0..TOTAL")
+        for cum_lo, cum_hi in zip(lo.tolist(), hi.tolist()):
+            self._encode_span(cum_lo, cum_hi, TOTAL)
+
     def encode_uniform_symbol(self, symbol: int, alphabet: int):
         self._encode_span(symbol, symbol + 1, alphabet)
 

@@ -214,6 +214,25 @@ def test_decode_scalable_checks_block_count(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cdf_desync_exits_2(workspace, tmp_path, capsys, monkeypatch):
+    bitstream = _encode_workspace_cloud(workspace, tmp_path)
+    tables = codec._cdf_tables
+
+    def shifted(grid, params):
+        for i, table in enumerate(tables(grid, params)):
+            if i == 0:
+                table[0, 1:-1] += 1  # not the encoder's row
+            yield table
+
+    monkeypatch.setattr(codec, "_cdf_tables", shifted)
+    out = tmp_path / "decoded.ply"
+    assert cli.main(["decode", str(workspace / "data" / "cloud.ply"),
+                     str(bitstream), "--model", str(workspace / "model.npz"),
+                     "--out", str(out)]) == 2
+    assert "DesyncError" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_failed_ply_write_leaves_no_file(workspace, tmp_path, monkeypatch):
     bitstream = _encode_workspace_cloud(workspace, tmp_path)
     out_dir = tmp_path / "out"

@@ -1,13 +1,15 @@
 import hashlib
 import json
+import zlib
 
 import numpy as np
 import pytest
 
 from pcac import codec
 from pcac import likelihood as lh
-from pcac.errors import (ChecksumFailure, CorruptStream, DigestMismatch,
-                         EmptyGeometry, ModelMismatch, ShapeMismatch,
+from pcac.errors import (ChecksumFailure, CorruptStream, DesyncError,
+                         DigestMismatch, EmptyGeometry, InvalidCdf,
+                         ModelMismatch, PcacError, ShapeMismatch,
                          SymbolOutOfRange)
 from pcac.sparse_nn import ModelConfig
 from pcac.tensor_core import sort_coords
@@ -106,21 +108,28 @@ def test_encode_is_deterministic_and_cdfs_agree(model):
     np.testing.assert_array_equal(back, rgb[sort_coords(coords)])
 
 
-def test_cdf_rows_are_memoryview_slices_of_block_tables():
-    # rows stream block by block; the hash equals that of the concatenation
+def test_cdf_rows_are_memoryview_slices_of_block_tables(monkeypatch):
+    # the decoder's rows come block by block as memoryview slices; together
+    # they are the pass's table computed in one call, bit for bit
     rng = np.random.default_rng(9)
-    blocks = [rng.dirichlet(np.ones(7), size=n) for n in (5, 1, 3)]
-    hasher = hashlib.sha256()
-    rows = list(codec._cdf_rows(iter(blocks), hasher))
-    table = np.concatenate([lh.build_cdf_table(b) for b in blocks])
+    grid = lh.SymbolGrid(7)
+    params = (rng.normal(size=(9, 2, 3)), rng.normal(size=(9, 2, 3)),
+              rng.normal(size=(9, 2, 3)) - 2)
+    monkeypatch.setattr(codec, "_CDF_CHUNK_ROWS", 4)
+    tables = list(codec._cdf_tables(grid, params))
+    assert [len(t) for t in tables] == [8, 8, 2]
+    rows = [r for t in tables for r in codec._rows(t)]
+    table = lh.pointwise_cdf(*lh.mixture_terms(*params), grid,
+                             np.arange(8)).reshape(-1, 8)
     assert all(isinstance(r, memoryview) for r in rows)
     assert [r.tolist() for r in rows] == table.tolist()
     assert all(type(r[3]) is int for r in rows)
-    assert hasher.hexdigest() == hashlib.sha256(table.tobytes()).hexdigest()
+    assert hashlib.sha256(b"".join(rows)).hexdigest() == \
+        hashlib.sha256(table.tobytes()).hexdigest()
 
 
 def test_cdf_block_size_is_not_part_of_the_format(model, monkeypatch):
-    # the pmf/CDF block size bounds memory only: every consumer is row-wise
+    # the CDF/pmf block size bounds memory only: every consumer is row-wise
     coords, rgb = random_block(np.random.default_rng(13), lo=250, hi=400)
     default = codec._CDF_CHUNK_ROWS
     assert len(coords) > default
@@ -135,12 +144,50 @@ def test_cdf_block_size_is_not_part_of_the_format(model, monkeypatch):
         return (stream, enc.cdf_sha256, dec.cdf_sha256, back.tobytes(),
                 scalable, codec.quantized_info_bits(model, coords, rgb))
 
-    assert run(1, "sample") == run(7, "sample") == run(default, "sample")
-    # mode "mean" sums each row with a BLAS matrix-vector product, whose
-    # summation order can depend on the row's place in its block (OpenBLAS
-    # works in groups of 4 rows): blocks of 64 give the decodes of the
-    # 2048-row blocks the golden fixture was recorded with
-    assert run(2048, "mean") == run(default, "mean")
+    for mode in ("sample", "mean"):
+        assert run(1, mode) == run(7, mode) == run(2048, mode) == \
+            run(default, mode)
+
+
+def _shift_one_row(tables):
+    # the interior CDF values of the sixth row of a pass move up by one:
+    # still a valid row, but every span of it differs from the encoder's
+    for i, table in enumerate(tables):
+        if i == 0:
+            table[5, 1:-1] += 1
+        yield table
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_decoder_cdf_desync_raises(model, monkeypatch, chunk):
+    coords, rgb = random_block(np.random.default_rng(14), lo=100, hi=200)
+    stream = codec.encode(coords, rgb, model)
+    tables = codec._cdf_tables
+    passes = []
+
+    def shifted(grid, params):
+        passes.append(grid)
+        out = tables(grid, params)
+        # chunk 1 is the first pass, chunk 3 (RGB) starts at the third
+        return _shift_one_row(out) if len(passes) == chunk else out
+
+    monkeypatch.setattr(codec, "_cdf_tables", shifted)
+    with pytest.raises(DesyncError):
+        codec.decode(coords, stream, model)
+    passes.clear()
+    with pytest.raises(DesyncError):
+        codec.decode_scalable(coords, stream, model)
+
+
+def test_encoder_rejects_zero_width_span(model, monkeypatch):
+    # a mixture CDF that falls gives some symbol hi <= lo: the encoder
+    # raises instead of writing a span no decoder could read
+    coords, rgb = random_block(np.random.default_rng(15))
+    exact = lh.mixture_cdf
+    monkeypatch.setattr(lh, "mixture_cdf",
+                        lambda *args: 1.0 - exact(*args))
+    with pytest.raises(InvalidCdf):
+        codec.encode(coords, rgb, model)
 
 
 def test_rate_bounds(model):
@@ -206,15 +253,39 @@ def test_malformed_input_raises_corrupt_stream(case, model, coded):
         MALFORMED[case](*coded, model)
 
 
+def with_header_crc(stream):
+    """The stream with its header CRC32 recomputed over the header fields."""
+    end = codec.header_size(CFG.num_scales) - 4
+    return (stream[:end] + zlib.crc32(stream[:end]).to_bytes(4, "little")
+            + stream[end + 4:])
+
+
 def test_header_rgb_alphabet_is_checked(model, coded):
     coords, stream, _ = coded
-    field = codec.header_size(CFG.num_scales) - 4
+    field = codec.header_size(CFG.num_scales) - 8
     assert stream[field:field + 2] == (256).to_bytes(2, "little")
-    bad = stream[:field] + (17).to_bytes(2, "little") + stream[field + 2:]
+    bad = with_header_crc(
+        stream[:field] + (17).to_bytes(2, "little") + stream[field + 2:])
     with pytest.raises(ModelMismatch):
         codec.decode(coords, bad, model)
     with pytest.raises(ModelMismatch):
         codec.decode_scalable(coords, codec.truncate_bitstream(bad, 2), model)
+
+
+def test_flipped_header_byte_raises(model, coded):
+    coords, stream, _ = coded
+    assert with_header_crc(stream) == stream
+    for i in range(codec.header_size(CFG.num_scales)):
+        for bit in (0x01, 0x80):
+            bad = bytearray(stream)
+            bad[i] ^= bit
+            with pytest.raises(PcacError):
+                codec.decode(coords, bytes(bad), model)
+    # a changed point count is caught by the CRC, before the geometry check
+    bad = bytearray(stream)
+    bad[10] ^= 0x01  # low byte of the level-1 count
+    with pytest.raises(ChecksumFailure):
+        codec.decode(coords, bytes(bad), model)
 
 
 def test_scalable_decode_modes(model):

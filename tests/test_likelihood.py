@@ -265,3 +265,115 @@ def test_cdf_table_matches_reference(M):
     for name, pmf in cases.items():
         expected = [_reference_cdf_row(row) for row in pmf]
         assert lh.build_cdf_table(pmf).tolist() == expected, name
+
+
+# ------------------------------------------------------- pointwise coder CDF
+
+def random_mixture(rng, shape, k):
+    """Weight logits, means (a fifth of them up to +-1000) and log-scales
+    reaching below LOG_SCALE_MIN, each shape + (k,)."""
+    size = shape + (k,)
+    means = rng.normal(size=size) * 1.5
+    far = rng.random(size) < 0.2
+    means[far] = rng.uniform(-1000, 1000, size=far.sum())
+    return (rng.normal(size=size) * 3, means,
+            rng.uniform(lh.LOG_SCALE_MIN - 5, 2, size=size))
+
+
+def test_tanh_bulk_equals_elementwise():
+    # the one transcendental ufunc of the coder's CDF: bulk, strided,
+    # odd-length and one-element calls give the same bits
+    rng = np.random.default_rng(6)
+    x = np.concatenate([rng.normal(size=4001) * 4, rng.uniform(-40, 40, 999)])
+    bulk = np.tanh(x)
+    assert np.tanh(x[::3]).tobytes() == bulk[::3].tobytes()
+    assert np.tanh(x[5:12]).tobytes() == bulk[5:12].tobytes()
+    assert np.tanh(x.reshape(50, 100).T).tobytes() == \
+        bulk.reshape(50, 100).T.tobytes()
+    one = np.array([np.tanh(x[i:i + 1])[0] for i in range(len(x))])
+    assert one.tobytes() == bulk.tobytes()
+
+
+@pytest.mark.parametrize("grid", [lh.RGB_GRID, lh.SymbolGrid(26)],
+                         ids=["rgb", "latent"])
+@pytest.mark.parametrize("k", [1, 4, 10])
+def test_mixture_cdf_is_pointwise(grid, k):
+    # F at a symbol's two edges, at one edge at a time and over whole rows
+    # in bulk: the same bits, on contiguous, strided and odd-length inputs
+    rng = np.random.default_rng(k + grid.num_symbols)
+    M = grid.num_symbols
+    n = 301
+    w, mu, s = lh.mixture_terms(*random_mixture(rng, (n,), k))
+    full = lh.mixture_cdf(w, mu, s, grid.cdf_edges)
+    assert full.shape == (n, M + 1)
+    rows = np.arange(n)
+    sym = rng.integers(0, M, size=n)
+    two = lh.mixture_cdf(w, mu, s, grid.cdf_edges[np.stack([sym, sym + 1], -1)])
+    assert two.tobytes() == np.stack([full[rows, sym], full[rows, sym + 1]],
+                                     axis=-1).tobytes()
+    for part in (slice(0, 7), slice(1, n, 2), slice(n - 7, n), slice(5, 6)):
+        got = lh.mixture_cdf(w[part], mu[part], s[part], grid.cdf_edges)
+        assert got.tobytes() == full[part].tobytes()
+    fortran = [np.asfortranarray(a) for a in (w, mu, s)]
+    assert lh.mixture_cdf(*fortran, grid.cdf_edges).tobytes() == \
+        full.tobytes()
+    # (60, 5) points x channels, as a latent pass holds them
+    shaped = [a[:300].reshape(60, 5, k) for a in (w, mu, s)]
+    assert lh.mixture_cdf(*shaped, grid.cdf_edges).tobytes() == \
+        full[:300].reshape(60, 5, M + 1).tobytes()
+    for r in range(0, n, 43):
+        one = [lh.mixture_cdf(w[r:r + 1], mu[r:r + 1], s[r:r + 1],
+                              grid.cdf_edges[e:e + 1])[0, 0]
+               for e in range(M + 1)]
+        assert np.array(one).tobytes() == full[r].tobytes()
+
+
+def test_mixture_cdf_matches_logistic_oracle():
+    # [DERIVED] F(e) = sum_k w_k / (1 + exp(-(e - mu_k) / s_k))
+    rng = np.random.default_rng(3)
+    w, mu, s = lh.mixture_terms(rng.normal(size=(20, 3)),
+                                rng.normal(size=(20, 3)),
+                                rng.uniform(-4, 0, size=(20, 3)))
+    e = rng.uniform(-1.5, 1.5, size=(20, 9))
+    oracle = (w[:, :, None] / (1 + np.exp(-(e[:, None, :] - mu[..., None])
+                                          / s[..., None]))).sum(axis=1)
+    np.testing.assert_allclose(lh.mixture_cdf(w, mu, s, e), oracle,
+                               rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("grid", [lh.RGB_GRID, lh.SymbolGrid(26)],
+                         ids=["rgb", "latent"])
+def test_pointwise_cdf_rows_are_valid(grid):
+    # the rule floor(F(e_m) * (2^16 - M)) + m: rows run from 0 to 2^16 and
+    # every symbol keeps a width of at least 1, for K = 1..10, scales below
+    # the clamp and means up to +-1000
+    rng = np.random.default_rng(grid.num_symbols)
+    M = grid.num_symbols
+    edges = np.arange(M + 1)
+    for k in range(1, 11):
+        w, mu, s = lh.mixture_terms(*random_mixture(rng, (200,), k))
+        rows = lh.pointwise_cdf(w, mu, s, grid, edges)
+        assert rows.dtype == np.int64 and rows.shape == (200, M + 1)
+        assert np.all(rows[:, 0] == 0) and np.all(rows[:, M] == 1 << 16)
+        assert np.diff(rows, axis=-1).min() >= 1
+        F = lh.mixture_cdf(w, mu, s, grid.cdf_edges)
+        interior = np.floor(F[:, 1:M] * ((1 << 16) - M)).astype(np.int64)
+        np.testing.assert_array_equal(rows[:, 1:M], interior + edges[1:M])
+        # the rate the rule costs over the exact pmf: as small as that of
+        # the largest-remainder tables
+        p = lh.dlm_pmf(np.log(w), mu, np.log(s), grid)
+
+        def kl(cdf):
+            q = np.diff(cdf, axis=-1) / 65536.0
+            return (p * np.log2(np.maximum(p, 1e-300) / q)).sum(axis=-1)
+
+        assert kl(rows).max() < 1e-2
+        assert kl(rows).mean() < kl(lh.build_cdf_table(p)).mean() + 1e-4
+
+
+def test_pointwise_cdf_rejects_non_finite_mixtures():
+    w, mu, s = lh.mixture_terms(np.zeros((2, 2)), np.zeros((2, 2)),
+                                np.zeros((2, 2)))
+    mu[1, 0] = np.nan
+    with pytest.raises(DegeneratePmf):
+        lh.pointwise_cdf(w, mu, s, lh.RGB_GRID, np.arange(257))

@@ -148,3 +148,26 @@ def test_memoryview_rows_are_checked():
     # returns a zero-width symbol
     data = rc.encode_with_cdfs([1] * 50, [zero_width] * 50)
     assert rc.decode_with_cdfs(data, [zero_width] * 50).tolist() == [1] * 50
+
+
+def test_encode_spans_matches_encode_symbol():
+    # coding each symbol's (cdf[s], cdf[s + 1]) span gives the bytes of
+    # coding the symbol against its row
+    rng = np.random.default_rng(8)
+    table = build_cdf_table(rng.dirichlet(np.ones(26) * 0.3, size=500))
+    syms = rng.integers(0, 26, size=500)
+    rows = np.arange(500)
+    enc = rc.RangeEncoder()
+    enc.encode_spans(table[rows, syms], table[rows, syms + 1])
+    data = enc.finish()
+    assert data == rc.encode_with_cdfs(syms, table)
+    np.testing.assert_array_equal(rc.decode_with_cdfs(data, table), syms)
+
+
+def test_encode_spans_rejects_bad_spans():
+    for lo, hi in (([0, 7], [5, 7]), ([9], [3]), ([-1], [4]),
+                   ([65000], [65537])):
+        enc = rc.RangeEncoder()
+        with pytest.raises(InvalidCdf):
+            enc.encode_spans(lo, hi)
+        assert enc.finish() == bytes(4)  # nothing was coded
