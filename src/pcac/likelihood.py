@@ -20,6 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import DegeneratePmf, InvalidScale, ShapeMismatch, SymbolOutOfRange
+from .range_coder import TOTAL
 
 LOG_SCALE_MIN = -7.0
 SCALE_MIN = 1e-6
@@ -131,15 +132,14 @@ def mixture_cdf(w, mu, s, edges):
     return cdf
 
 
-def pointwise_cdf(w, mu, s, grid: SymbolGrid, edge_index,
-                  precision_bits: int = 16):
+def pointwise_cdf(w, mu, s, grid: SymbolGrid, edge_index):
     """The coder's integer CDF at edge indices `edge_index` (..., E) in 0..M.
 
-    cdf(m) = floor(F(e_m) * (2**precision_bits - M)) + m, with F from
-    `mixture_cdf`, fixed at 0 for m = 0 and at 1 for m = M. The rule needs
-    no table: a symbol's span takes F at its own two edges only. As F is
-    monotone, every symbol gets a width of at least 1, and a row runs from 0
-    to 2**precision_bits.
+    cdf(m) = floor(F(e_m) * (TOTAL - M)) + m, with TOTAL = 2**16 the range
+    coder's total and F from `mixture_cdf`, fixed at 0 for m = 0 and at 1
+    for m = M. The rule needs no table: a symbol's span takes F at its own
+    two edges only. As F is monotone, every symbol gets a width of at least
+    1, and a row runs from 0 to TOTAL.
     """
     M = grid.num_symbols
     m = np.asarray(edge_index, dtype=np.int64)
@@ -148,7 +148,7 @@ def pointwise_cdf(w, mu, s, grid: SymbolGrid, edge_index,
     np.copyto(cdf, 1.0, where=m == M)
     if not np.all(np.isfinite(cdf)):
         raise DegeneratePmf("mixture CDF is not finite")
-    np.multiply(cdf, (1 << precision_bits) - M, out=cdf)
+    np.multiply(cdf, TOTAL - M, out=cdf)
     np.floor(cdf, out=cdf)
     out = cdf.astype(np.int64)
     out += m
@@ -309,8 +309,9 @@ def uniform_bits(num_points: int, num_channels: int, alphabet: int) -> float:
 
 # ------------------------------------------------------------------ CDF table
 
-def build_cdf_table(pmf, precision_bits: int = 16):
-    """Quantize pmfs (rows) to integer CDFs summing to 2**precision_bits.
+def build_cdf_table(pmf):
+    """Quantize pmfs (rows) to integer CDFs summing to the range coder's
+    TOTAL (2**16).
 
     Largest-remainder rounding with a guaranteed width of 1 per symbol;
     fully deterministic (ties broken by symbol index).
@@ -323,8 +324,7 @@ def build_cdf_table(pmf, precision_bits: int = 16):
     if np.any(~np.isfinite(pmf)) or np.any(pmf < 0) or \
             np.any(np.abs(sums - 1.0) > 1e-6):
         raise DegeneratePmf("pmf is not a probability vector")
-    total = 1 << precision_bits
-    budget = total - M  # one guaranteed slot per symbol
+    budget = TOTAL - M  # one guaranteed slot per symbol
     scaled = pmf / sums[:, None] * budget
     floored = np.floor(scaled)
     frac = scaled - floored
