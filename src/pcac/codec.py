@@ -9,8 +9,9 @@ bitstream; it is a decode-side input.
 One top-down driver, `_top_down`, runs that chain for `encode`, `decode`,
 `decode_scalable` and `quantized_info_bits`. They differ only in what they do
 with the mixture of each coding pass: code the known symbols' spans, read
-symbols against full CDF rows, estimate a chunk missing from the stream, or
-sum the spans' information content.
+symbols against full integer CDF rows or estimate them from those rows when
+their chunk is missing from the stream, or sum the spans' information
+content.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .tensor_core import build_pyramid, sort_coords
 
 MAGIC = b"MNET"
 FILE_MAGIC = b"MNEF"
-VERSION = 3
+VERSION = 4
 
 
 class CodecModel:
@@ -260,14 +261,24 @@ def _read_chunks(buf: bytes):
     return header, chunks
 
 
+def _with_crc(fields: bytes) -> bytes:
+    return fields + struct.pack("<I", zlib.crc32(fields))
+
+
+def _check_crc(buf: bytes, start: int, end: int, what: str):
+    """Raise ChecksumFailure unless buf[end:end + 4] is the CRC32 of
+    buf[start:end]."""
+    if zlib.crc32(buf[start:end]) != struct.unpack_from("<I", buf, end)[0]:
+        raise ChecksumFailure(f"{what} checksum mismatch")
+
+
 def _header(model: CodecModel, level_counts) -> bytes:
     n_levels = len(level_counts)
-    fields = (MAGIC + struct.pack("<BB", VERSION, n_levels - 1)
-              + struct.pack(f"<{n_levels}I", *level_counts)
-              + model.digest()
-              + struct.pack("<HH", lh.RGB_GRID.num_symbols,
-                            model.config.num_bins))
-    return fields + struct.pack("<I", zlib.crc32(fields))
+    return _with_crc(MAGIC + struct.pack("<BB", VERSION, n_levels - 1)
+                     + struct.pack(f"<{n_levels}I", *level_counts)
+                     + model.digest()
+                     + struct.pack("<HH", lh.RGB_GRID.num_symbols,
+                                   model.config.num_bins))
 
 
 def _parse_header(buf: bytes):
@@ -279,8 +290,7 @@ def _parse_header(buf: bytes):
     end = header_size(num_scales)
     if len(buf) < end:
         raise CorruptStream("truncated header")
-    if zlib.crc32(buf[:end - 4]) != struct.unpack_from("<I", buf, end - 4)[0]:
-        raise ChecksumFailure("header checksum mismatch")
+    _check_crc(buf, 0, end - 4, "header")
     off = 6
     counts = struct.unpack_from(f"<{num_scales + 1}I", buf, off)
     off += 4 * (num_scales + 1)
@@ -298,19 +308,15 @@ def header_size(num_scales: int) -> int:
 
 # ------------------------------------------------------------------- coding
 
-# Points per block of the decoder's integer CDF rows and of the pmfs that
-# estimate a missing chunk. Every row, stream and decode is the same for any
-# block size, which sets only speed and memory: at 64 points an RGB block's
-# edge buffer is 1.3 MB (K = 10, M = 256) and stays in a 2 MB L2 cache
-# through the in-place steps of `mixture_cdf` and `dlm_pmf`. Decode and
-# scalable decode timed level (within run-to-run noise) at 32, 64, 128 and
-# 256 points on both benchmark inputs; 2048 made a 42 MB buffer.
+# Points per block of the decoder's integer CDF rows, which decode reads
+# and scalable decode also estimates missing chunks from. Every row, stream
+# and decode is the same for any block size, which sets only speed and
+# memory: at 64 points an RGB block's edge buffer is 1.3 MB (K = 10,
+# M = 256) and stays in a 2 MB L2 cache through the in-place steps of
+# `mixture_cdf`. Decode and scalable decode timed level (within run-to-run
+# noise) at 32, 64, 128 and 256 points on both benchmark inputs; 2048 made
+# a 42 MB buffer.
 _CDF_CHUNK_ROWS = 64
-
-
-def _blocks(num_points: int):
-    for lo in range(0, num_points, _CDF_CHUNK_ROWS):
-        yield slice(lo, lo + _CDF_CHUNK_ROWS)
 
 
 def _spans(grid: lh.SymbolGrid, params, symbols):
@@ -329,7 +335,8 @@ def _cdf_tables(grid: lh.SymbolGrid, params):
     values `_spans` takes at two of them."""
     w, mu, s = lh.mixture_terms(*params)
     edges = np.arange(grid.num_symbols + 1)
-    for rows in _blocks(len(mu)):
+    for lo in range(0, len(mu), _CDF_CHUNK_ROWS):
+        rows = slice(lo, lo + _CDF_CHUNK_ROWS)
         yield lh.pointwise_cdf(w[rows], mu[rows], s[rows], grid,
                                edges).reshape(-1, len(edges))
 
@@ -429,8 +436,9 @@ def encode(geometry, rgb_features, model: CodecModel,
 def _decode(geometry, bitstream, model: CodecModel, estimate=None,
             debug: bool = False):
     """decode and decode_scalable: the symbols of a chunk missing from the
-    stream (allowed only with `estimate`) come from estimate(pmf) per block.
-    Returns the RGB symbols and the span hashes."""
+    stream (allowed only with `estimate`) come from estimate(table) per block
+    of the same integer CDF rows a coded chunk is read against. Returns the
+    RGB symbols and the span hashes."""
     header, chunks = _read_chunks(bitstream)
     if header["digest"] != model.digest():
         raise DigestMismatch("bitstream was produced by a different model")
@@ -455,14 +463,12 @@ def _decode(geometry, bitstream, model: CodecModel, estimate=None,
     spans = _SpanHash(cfg.num_scales, debug)
 
     def read(chunk, grid, params):
-        if chunk >= len(chunks):
-            return np.concatenate([
-                estimate(lh.dlm_pmf(*(a[rows] for a in params), grid)
-                         .reshape(-1, grid.num_symbols))
-                for rows in _blocks(len(params[0]))])
-        dec = decoders[chunk - 1]
         out = []
         for table in _cdf_tables(grid, params):
+            if chunk >= len(chunks):
+                out.append(estimate(table))
+                continue
+            dec = decoders[chunk - 1]
             syms = np.array([dec.decode_symbol(row) for row in _rows(table)],
                             dtype=np.int64)
             rows = np.arange(len(syms))
@@ -490,28 +496,24 @@ def decode_scalable(geometry, bitstream, model: CodecModel,
                     mode: str = "mean", seed: int = 0):
     """Decode a (possibly truncated) stream; missing chunks are estimated.
 
-    Latent chunks that are absent are reconstructed from their predicted
-    distributions (mode "mean": pmf expectation snapped to the symbol grid;
-    mode "sample": seeded draw). An absent F chunk yields a lossy color
+    Latent chunks that are absent are reconstructed from the decoder's
+    integer CDF rows of their predicted distributions (mode "mean": the
+    expectation rounded half up to a symbol; mode "sample": a seeded draw,
+    one per row in coding order). An absent F chunk yields a lossy color
     estimate from p(F | z^1), channel-sequentially.
     """
     if mode not in ("mean", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)
 
-    def estimate(pmf):
+    def estimate(table):
+        # integer arithmetic on rows from 0 to TOTAL, every width >= 1
         if mode == "mean":
-            # numpy sums each row along its contiguous last axis by itself,
-            # in an order set by the row length alone, so a row's
-            # expectation does not depend on its place in the block (a BLAS
-            # matrix-vector product's does)
-            exp = (pmf * np.arange(pmf.shape[-1])).sum(axis=-1)
-            sym = np.clip(np.floor(exp + 0.5), 0, pmf.shape[-1] - 1)
-        else:
-            cum = np.cumsum(pmf, axis=-1)
-            u = rng.random((len(pmf), 1)) * cum[:, -1:]
-            sym = (u > cum[:, :-1]).sum(axis=-1)
-        return sym.astype(np.int64)
+            mass = np.diff(table, axis=-1) @ np.arange(table.shape[1] - 1)
+            return (mass + rc.TOTAL // 2) // rc.TOTAL
+        # the symbol whose span holds floor(u * TOTAL)
+        t = np.floor(rng.random(len(table)) * rc.TOTAL).astype(np.int64)
+        return (table[:, 1:-1] <= t[:, None]).sum(axis=-1)
 
     return _decode(geometry, bitstream, model, estimate)[0]
 
@@ -598,12 +600,14 @@ def estimate_bits(model: CodecModel, geometry, rgb_features) -> float:
 # --------------------------------------------------------- multi-block files
 
 def encode_blocks(blocks, model: CodecModel) -> bytes:
-    """Concatenate per-block streams: [origin, length, stream] per block."""
-    parts = [FILE_MAGIC, struct.pack("<BI", VERSION, len(blocks))]
+    """Concatenate per-block streams: a file header [magic, version, block
+    count, CRC32], then [origin, length, CRC32, stream] per block; each CRC32
+    covers the fields before it."""
+    parts = [_with_crc(FILE_MAGIC + struct.pack("<BI", VERSION, len(blocks)))]
     for origin, geometry, rgb in blocks:
         stream = encode(geometry, rgb, model)
-        parts.append(struct.pack("<iiiI", *[int(v) for v in origin],
-                                 len(stream)))
+        parts.append(_with_crc(struct.pack(
+            "<iiiI", *[int(v) for v in origin], len(stream))))
         parts.append(stream)
     return b"".join(parts)
 
@@ -616,20 +620,22 @@ def decode_blocks(data: bytes, blocks_geometry, model: CodecModel,
     chunks=None decodes losslessly; otherwise each block is cut to its first
     `chunks` chunks and decoded by decode_scalable with `mode` and `seed`.
     """
-    if len(data) < 9 or data[:4] != FILE_MAGIC:
+    if len(data) < 13 or data[:4] != FILE_MAGIC:
         raise CorruptStream("bad or truncated file header")
     version, count = struct.unpack_from("<BI", data, 4)
     if version != VERSION:
         raise CorruptStream(f"unsupported file version {version}")
+    _check_crc(data, 0, 9, "file header")
     if count != len(blocks_geometry):
         raise ModelMismatch("block count mismatch")
-    off = 9
+    off = 13
     out = []
     for geometry in blocks_geometry:
-        if off + 16 > len(data):
+        if off + 20 > len(data):
             raise CorruptStream("truncated block record")
+        _check_crc(data, off, off + 16, "block record")
         *origin, length = struct.unpack_from("<iiiI", data, off)
-        off += 16
+        off += 20
         stream = data[off:off + length]
         off += length
         if chunks is None:

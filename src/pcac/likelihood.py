@@ -7,11 +7,13 @@ Two parameterizations share the same math:
     [wR wG wB  muR muG muB  lR lG lB  cGR cBR cBG] where the c's (through
     tanh) shift the green/blue means linearly by the decoded red/green values.
 
-The numpy functions here are the coding path; the *_bits functions build the
-same probabilities as autodiff graphs for training. Both apply identical
-clamps. The coder takes its integer CDFs from `pointwise_cdf`, which needs
-the mixture CDF only at the edges it is asked for, and gives the encoder
-(two edges per symbol) and the decoder (whole rows) the same integers.
+One numpy mixture CDF, `mixture_cdf`, serves coding and evaluation: the
+coder takes its integer CDFs from `pointwise_cdf`, which needs F only at the
+edges it is asked for and gives the encoder (two edges per symbol), the
+decoder (whole rows) and the estimates of a scalable decode the same
+integers, and `dlm_pmf` is the difference of F at the bin edges. The *_bits
+functions build the same probabilities as autodiff graphs for training.
+Both apply identical clamps.
 """
 
 from __future__ import annotations
@@ -78,33 +80,17 @@ def mixture_terms(weight_logits, means, log_scales):
 def dlm_pmf(weight_logits, means, log_scales, grid: SymbolGrid):
     """Mixture pmf over grid symbols. Inputs are (..., K); output (..., M).
 
-    The pmf is a telescoping difference of the mixture CDF at bin edges with
-    saturated end bins, so it sums to 1 up to float addition error.
+    The bin masses are the differences of `mixture_cdf` at the grid's edges,
+    with F clipped to at most 1 and fixed at 0 and 1 at the end edges (the
+    saturated end bins), so every mass is >= 0 and the pmf sums to 1 up to
+    float addition error.
     """
-    w, mu, s = mixture_terms(weight_logits, means, log_scales)
-    M = grid.num_symbols
-    # edge CDF values, shape (..., K, M+1), computed in place in one buffer:
-    # sigmoid((e - mu) / s) as 0.5 * (tanh(0.5 * (e - mu) / s) + 1), one
-    # vectorized transcendental, stable in both tails. The first and last
-    # edges get a placeholder 0 and then their saturated values 0 and 1, so
-    # every step runs over the whole contiguous buffer.
-    cdf = np.empty(mu.shape + (M + 1,), dtype=np.float64)
-    np.subtract(grid.cdf_edges, mu[..., None], out=cdf)
-    np.divide(cdf, s[..., None], out=cdf)
-    np.multiply(cdf, 0.5, out=cdf)
-    np.tanh(cdf, out=cdf)
-    np.add(cdf, 1.0, out=cdf)
-    np.multiply(cdf, 0.5, out=cdf)
+    cdf = mixture_cdf(*mixture_terms(weight_logits, means, log_scales),
+                      grid.cdf_edges)
+    np.minimum(cdf, 1.0, out=cdf)
     cdf[..., 0] = 0.0
-    cdf[..., M] = 1.0
-    # bin masses cdf[m+1] - cdf[m] (np.diff) as one subtraction over the
-    # flat buffer; the difference across a row boundary lands in the last
-    # column, which the (..., K, M) view leaves out
-    flat = cdf.reshape(-1)
-    diff = np.empty_like(cdf)
-    np.subtract(flat[1:], flat[:-1], out=diff.reshape(-1)[:-1])
-    comp = diff[..., :M]
-    return np.einsum("...k,...km->...m", w, comp)
+    cdf[..., -1] = 1.0
+    return np.diff(cdf, axis=-1)
 
 
 def mixture_cdf(w, mu, s, edges):

