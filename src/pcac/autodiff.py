@@ -97,28 +97,10 @@ def add(a: Node, b: Node) -> Node:
     return Node(a.value + b.value, (a, b), lambda g: (g, g))
 
 
-def sub(a: Node, b: Node) -> Node:
-    _same_shape(a, b)
-    return Node(a.value - b.value, (a, b), lambda g: (g, -g))
-
-
 def mul(a: Node, b: Node) -> Node:
     _same_shape(a, b)
     return Node(a.value * b.value, (a, b),
                 lambda g: (g * b.value, g * a.value))
-
-
-def scale(a: Node, k: float) -> Node:
-    return Node(a.value * k, (a,), lambda g: (g * k,))
-
-
-def add_const(a: Node, c) -> Node:
-    return Node(a.value + c, (a,), lambda g: (g,))
-
-
-def mul_const(a: Node, c) -> Node:
-    c = np.asarray(c, dtype=np.float64)
-    return Node(a.value * c, (a,), lambda g: (g * c,))
 
 
 def sum_nodes(nodes) -> Node:
@@ -136,56 +118,6 @@ def relu(x: Node) -> Node:
     return Node(np.where(mask, x.value, 0.0), (x,), lambda g: (g * mask,))
 
 
-def sigmoid(x: Node) -> Node:
-    # tanh formulation: stable in both tails
-    v = 0.5 * (np.tanh(0.5 * x.value) + 1.0)
-    return Node(v, (x,), lambda g: (g * v * (1.0 - v),))
-
-
-def tanh(x: Node) -> Node:
-    v = np.tanh(x.value)
-    return Node(v, (x,), lambda g: (g * (1.0 - v * v),))
-
-
-def exp(x: Node) -> Node:
-    v = np.exp(x.value)
-    return Node(v, (x,), lambda g: (g * v,))
-
-
-def log(x: Node) -> Node:
-    return Node(np.log(x.value), (x,), lambda g: (g / x.value,))
-
-
-def clamp_min(x: Node, c: float) -> Node:
-    mask = x.value > c
-    return Node(np.where(mask, x.value, c), (x,), lambda g: (g * mask,))
-
-
-def softmax_rows(x: Node) -> Node:
-    z = x.value - x.value.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    v = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g):
-        dot = (g * v).sum(axis=-1, keepdims=True)
-        return (v * (g - dot),)
-
-    return Node(v, (x,), bwd)
-
-
-def slice_cols(x: Node, start: int, stop: int) -> Node:
-    n_cols = x.value.shape[-1]
-
-    def bwd(g):
-        full = np.zeros_like(x.value)
-        full[..., start:stop] = g
-        return (full,)
-
-    if not (0 <= start <= stop <= n_cols):
-        raise ShapeMismatch(f"slice [{start}:{stop}] of width {n_cols}")
-    return Node(x.value[..., start:stop], (x,), bwd)
-
-
 def concat_cols(*nodes) -> Node:
     widths = [n.value.shape[-1] for n in nodes]
     splits = np.cumsum(widths)[:-1]
@@ -194,12 +126,6 @@ def concat_cols(*nodes) -> Node:
         return tuple(np.split(g, splits, axis=-1))
 
     return Node(np.concatenate([n.value for n in nodes], axis=-1), nodes, bwd)
-
-
-def reshape(x: Node, shape) -> Node:
-    orig = x.value.shape
-    return Node(x.value.reshape(shape), (x,),
-                lambda g: (g.reshape(orig),))
 
 
 def gather_rows(x: Node, idx, fill: float = 0.0) -> Node:
@@ -229,16 +155,6 @@ def rowwise_max(*nodes) -> Node:
         return tuple(g * (arg == i) for i in range(len(nodes)))
 
     return Node(v, nodes, bwd)
-
-
-def row_sum(x: Node) -> Node:
-    """Sum over the last axis, keepdims."""
-    shape = x.value.shape
-
-    def bwd(g):
-        return (np.broadcast_to(g, shape).copy(),)
-
-    return Node(x.value.sum(axis=-1, keepdims=True), (x,), bwd)
 
 
 def sum_all(x: Node) -> Node:

@@ -130,6 +130,23 @@ def _checked(array, name: str, shape):
     return array
 
 
+# the least value of each size in a model config
+_LEAST_SIZE = dict(num_scales=1, hidden=1, latent_channels=1, res_blocks=0,
+                   mixtures=1, num_bins=2)
+
+
+def _check_sizes(config: ModelConfig, quantizer: dict):
+    """ModelMismatch unless every config size is an integer at or above its
+    least value and the quantizer has the config's number of bins."""
+    sizes = config.to_dict()
+    for name, least in _LEAST_SIZE.items():
+        if not isinstance(sizes[name], int) or sizes[name] < least:
+            raise ModelMismatch(f"checkpoint config {name} = {sizes[name]!r}")
+    if quantizer["num_bins"] != config.num_bins:
+        raise ModelMismatch(f"checkpoint quantizer has {quantizer['num_bins']!r}"
+                            f" bins, its config {config.num_bins}")
+
+
 class _Undrawn:
     """Weight initializer of a model whose weights are about to be read:
     allocates each weight without drawing it."""
@@ -145,9 +162,12 @@ def _read_checkpoint(path):
         if "__meta__" not in names:
             raise ModelMismatch("checkpoint has no metadata")
         meta = json.loads(str(data["__meta__"]))
+        config = ModelConfig.from_dict(meta.pop("config"))
+        quantizer = meta.pop("quantizer")
+        _check_sizes(config, quantizer)
         model = CodecModel.__new__(CodecModel)
-        model._build(ModelConfig.from_dict(meta.pop("config")), _Undrawn())
-        model.quantizer = QuantizerConfig.from_dict(meta.pop("quantizer"))
+        model._build(config, _Undrawn())
+        model.quantizer = QuantizerConfig.from_dict(quantizer)
         for name, p in model.named_parameters():
             p.value = np.ascontiguousarray(
                 _stored_array(data, names, name, p.value.shape),

@@ -35,10 +35,6 @@ class NonFiniteInput(PcacError):
     pass
 
 
-class InvalidScale(PcacError):
-    pass
-
-
 class SymbolOutOfRange(PcacError):
     pass
 

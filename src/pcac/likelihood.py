@@ -7,13 +7,16 @@ Two parameterizations share the same math:
     [wR wG wB  muR muG muB  lR lG lB  cGR cBR cBG] where the c's (through
     tanh) shift the green/blue means linearly by the decoded red/green values.
 
-One numpy mixture CDF, `mixture_cdf`, serves coding and evaluation: the
-coder takes its integer CDFs from `pointwise_cdf`, which needs F only at the
-edges it is asked for and gives the encoder (two edges per symbol), the
-decoder (whole rows) and the estimates of a scalable decode the same
-integers, and `dlm_pmf` is the difference of F at the bin edges. The *_bits
-functions build the same probabilities as autodiff graphs for training.
-Both apply identical clamps.
+The mixture is written once. `mixture_terms` turns raw parameters into
+weights, means and scales, and `_half_logits` gives each component's
+(e - mu) * (0.5 / s), whose tanh is its CDF up to 0.5 * (. + 1). From these,
+`mixture_cdf` serves coding and evaluation: the coder takes its integer
+CDFs from `pointwise_cdf`, which needs F only at the edges it is asked for
+and gives the encoder (two edges per symbol), the decoder (whole rows) and
+the estimates of a scalable decode the same integers, and `dlm_pmf` is the
+difference of F at the bin edges. For training, `latent_bits_node` and
+`rgb_bits_node` each make one autodiff node of the total -log2 p of the
+coded symbols, whose backward is the analytic gradient of that likelihood.
 """
 
 from __future__ import annotations
@@ -21,11 +24,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DegeneratePmf, InvalidScale, ShapeMismatch, SymbolOutOfRange
+from .errors import DegeneratePmf, ShapeMismatch, SymbolOutOfRange
 from .range_coder import TOTAL
 
 LOG_SCALE_MIN = -7.0
-SCALE_MIN = 1e-6
 PROB_FLOOR = 1e-12
 LN2 = float(np.log(2.0))
 
@@ -44,20 +46,8 @@ class SymbolGrid:
         # placeholders whose CDF values are fixed at 0 and 1
         self.cdf_edges = np.concatenate([[0.0], self.edges[1:], [0.0]])
 
-    def lower_edge(self, symbols):
-        return self.edges[np.asarray(symbols)]
-
-    def upper_edge(self, symbols):
-        s = np.asarray(symbols)
-        return self.edges[np.minimum(s + 1, self.num_symbols - 1)]
-
 
 RGB_GRID = SymbolGrid(256)
-
-
-def _clamped_scales(log_scales):
-    s = np.exp(np.maximum(log_scales, LOG_SCALE_MIN))
-    return np.maximum(s, SCALE_MIN)
 
 
 def _softmax(logits):
@@ -67,13 +57,12 @@ def _softmax(logits):
 
 
 def mixture_terms(weight_logits, means, log_scales):
-    """Mixture weights (softmax of the logits), means and clamped scales,
-    each (..., K)."""
+    """Mixture weights (softmax of the logits), means and scales
+    exp(max(log_scale, LOG_SCALE_MIN)), each (..., K)."""
     w = _softmax(np.asarray(weight_logits, dtype=np.float64))
     mu = np.asarray(means, dtype=np.float64)
-    s = _clamped_scales(np.asarray(log_scales, dtype=np.float64))
-    if np.any(s <= 0):
-        raise InvalidScale("non-positive scale")
+    s = np.exp(np.maximum(np.asarray(log_scales, dtype=np.float64),
+                          LOG_SCALE_MIN))
     return w, mu, s
 
 
@@ -93,25 +82,34 @@ def dlm_pmf(weight_logits, means, log_scales, grid: SymbolGrid):
     return np.diff(cdf, axis=-1)
 
 
+def _k_first(a):  # (..., K) -> (K, ..., 1)
+    return np.moveaxis(a, -1, 0)[..., None]
+
+
+def _half_logits(mu, s, edges):
+    """(e - mu_k) * (0.5 / s_k) of every component at `edges`: (K, ..., E)
+    for `mu`, `s` (..., K) and `edges` (..., E). The sigmoid of a
+    component's logit is 0.5 * (tanh of this + 1)."""
+    t = np.subtract(edges, _k_first(mu))
+    np.multiply(t, _k_first(0.5 / s), out=t)
+    return t
+
+
 def mixture_cdf(w, mu, s, edges):
     """Mixture CDF F(e) = sum_k w_k sigmoid((e - mu_k) / s_k) at `edges`.
 
     `w`, `mu`, `s` are (..., K), as `mixture_terms` returns them; `edges`
     is (..., E) and broadcasts against their leading axes; returns (..., E).
-    The sigmoid is 0.5 * (tanh(x / 2) + 1), with x / 2 taken as
-    (e - mu) * (0.5 / s). Every value goes through the same elementwise
-    ufuncs whatever the shapes, and the sum over k runs as a loop in a fixed
-    order, so F at some edges of a row is bit for bit F at those edges of
-    the whole row. Each step is monotone in e, and so is F.
+    The sigmoid is 0.5 * (tanh(x) + 1) of `_half_logits`. Every value goes
+    through the same elementwise ufuncs whatever the shapes, and the sum
+    over k runs as a loop in a fixed order, so F at some edges of a row is
+    bit for bit F at those edges of the whole row. Each step is monotone in
+    e, and so is F.
     """
-    def k_first(a):  # (..., K) -> (K, ..., 1)
-        return np.moveaxis(a, -1, 0)[..., None]
-
-    t = np.subtract(edges, k_first(mu))
-    np.multiply(t, k_first(0.5 / s), out=t)
+    t = _half_logits(mu, s, edges)
     np.tanh(t, out=t)
     np.add(t, 1.0, out=t)
-    np.multiply(t, k_first(0.5 * w), out=t)
+    np.multiply(t, _k_first(0.5 * w), out=t)
     cdf = t[0].copy()
     for term in t[1:]:
         cdf += term
@@ -224,29 +222,44 @@ def rgb_joint_logprob(params, r, g, b, num_mixtures: int = 10,
 
 # ----------------------------------------------------------- training graphs
 
-def _dlm_bin_prob_node(w_logits, means, log_scales, symbols, grid: SymbolGrid):
-    """Node of per-row mixture probabilities of the target bins, shape (R, 1).
+def _symbol_bits(weight_logits, means, log_scales, symbols,
+                 grid: SymbolGrid):
+    """Total -log2 p of `symbols` (...) under the mixtures (..., K), and
+    the map from the upstream gradient to the gradients of that total
+    with respect to the weight logits, means and log-scales, each (..., K).
 
-    All inputs are (R, K) nodes except `symbols`, a constant (R,) int array.
+    p is the mixture mass of a symbol's bin, sum_k w_k (c_k(hi) - c_k(lo))
+    with c_k = 0.5 * (tanh(x_k) + 1) and x_k the `_half_logits` at the
+    bin's two edges. The bottom bin's lower c is 0 and the top bin's upper
+    c is 1, as in the coder's CDF (the saturated end bins), and p is
+    floored at PROB_FLOOR.
     """
-    symbols = np.asarray(symbols, dtype=np.int64)
-    M = grid.num_symbols
-    R = symbols.shape[0]
-    lo = grid.lower_edge(symbols)[:, None]  # (R,1); dummy for symbol 0
-    hi = grid.upper_edge(symbols)[:, None]  # dummy for symbol M-1
-    not_bottom = (symbols != 0).astype(np.float64)[:, None]
-    is_top = (symbols == M - 1).astype(np.float64)[:, None]
-    inv_s = ad.exp(ad.scale(ad.clamp_min(log_scales, LOG_SCALE_MIN), -1.0))
-    cdf_hi = ad.sigmoid(ad.mul(ad.add_const(ad.scale(means, -1.0), hi), inv_s))
-    cdf_lo = ad.sigmoid(ad.mul(ad.add_const(ad.scale(means, -1.0), lo), inv_s))
-    # saturate the end bins: top bin upper cdf = 1, bottom bin lower cdf = 0
-    upper = ad.add_const(ad.mul_const(cdf_hi, 1.0 - is_top), is_top)
-    lower = ad.mul_const(cdf_lo, not_bottom)
-    comp = ad.sub(upper, lower)  # (R, K)
-    weights = ad.softmax_rows(w_logits)
-    prob = ad.row_sum(ad.mul(weights, comp))
-    assert prob.value.shape == (R, 1)
-    return ad.clamp_min(prob, PROB_FLOOR)
+    w, mu, s = mixture_terms(weight_logits, means, log_scales)
+    sym = np.asarray(symbols, dtype=np.int64)
+    x = np.moveaxis(_half_logits(
+        mu, s, grid.cdf_edges[np.stack([sym, sym + 1], axis=-1)]), 0, -2)
+    t = np.tanh(x)  # (..., K, 2): lower and upper edge
+    np.copyto(t[..., 0], -1.0, where=(sym == 0)[..., None])
+    np.copyto(t[..., 1], 1.0, where=(sym == grid.num_symbols - 1)[..., None])
+    mass = 0.5 * (t[..., 1] - t[..., 0])
+    p = (w * mass).sum(axis=-1)
+    bits = np.log(np.maximum(p, PROB_FLOOR)).sum() * (-1.0 / LN2)
+
+    def grads(g):
+        # d bits / d p, zero where the floor holds p
+        dp = np.where(p > PROB_FLOOR,
+                      -g / (LN2 * np.maximum(p, PROB_FLOOR)), 0.0)[..., None]
+        # dt/dx = 1 - t^2, which is 0 at the saturated edges; x moves with
+        # mu by -0.5 / s and with the log-scale by -x above its clamp
+        slope = 1.0 - t * t
+        d_logits = dp * w * (mass - p[..., None])
+        d_means = dp * w * (-0.25 / s) * (slope[..., 1] - slope[..., 0])
+        d_log_scales = dp * w * -0.5 * (slope[..., 1] * x[..., 1]
+                                        - slope[..., 0] * x[..., 0])
+        d_log_scales *= np.asarray(log_scales) > LOG_SCALE_MIN
+        return d_logits, d_means, d_log_scales
+
+    return bits, grads
 
 
 def latent_bits_node(params: ad.Node, symbols, num_channels: int,
@@ -254,38 +267,37 @@ def latent_bits_node(params: ad.Node, symbols, num_channels: int,
     """Total -log2 p of latent symbols (N, C) under the (N, C*3K) head output."""
     symbols = np.asarray(symbols, dtype=np.int64)
     n = params.value.shape[0]
-    k = num_mixtures
     if symbols.shape != (n, num_channels):
         raise ShapeMismatch(f"latent symbols {symbols.shape}")
-    flat = ad.reshape(params, (n * num_channels, 3 * k))
-    w = ad.slice_cols(flat, 0, k)
-    mu = ad.slice_cols(flat, k, 2 * k)
-    ls = ad.slice_cols(flat, 2 * k, 3 * k)
-    prob = _dlm_bin_prob_node(w, mu, ls, symbols.reshape(-1), grid)
-    return ad.scale(ad.sum_all(ad.log(prob)), -1.0 / LN2)
+    bits, grads = _symbol_bits(
+        *unpack_latent_params(params.value, num_channels, num_mixtures),
+        symbols, grid)
+    return ad.Node(bits, (params,), lambda g: (
+        np.concatenate(grads(g), axis=-1).reshape(n, -1),))
 
 
 def rgb_bits_node(params: ad.Node, r, g, b, num_mixtures: int,
                   grid: SymbolGrid = RGB_GRID) -> ad.Node:
     """Total -log2 p(F) under the channel-autoregressive mixture head."""
     n = params.value.shape[0]
-    k = num_mixtures
-    p3 = ad.reshape(params, (n, k, 12))
-    col = lambda i: ad.reshape(ad.slice_cols(p3, i, i + 1), (n, k))
-    x_r = grid.centers[np.asarray(r, dtype=np.int64)][:, None]
-    x_g = grid.centers[np.asarray(g, dtype=np.int64)][:, None]
-    ones_k = np.ones((1, k))
-    p_r = _dlm_bin_prob_node(col(0), col(3), col(6), r, grid)
-    mu_g = ad.add(col(4), ad.mul_const(ad.tanh(col(9)), x_r * ones_k))
-    p_g = _dlm_bin_prob_node(col(1), mu_g, col(7), g, grid)
-    mu_b = ad.add(col(5), ad.add(
-        ad.mul_const(ad.tanh(col(10)), x_r * ones_k),
-        ad.mul_const(ad.tanh(col(11)), x_g * ones_k)))
-    p_b = _dlm_bin_prob_node(col(2), mu_b, col(8), b, grid)
-    total = ad.sum_nodes([ad.sum_all(ad.log(p_r)),
-                          ad.sum_all(ad.log(p_g)),
-                          ad.sum_all(ad.log(p_b))])
-    return ad.scale(total, -1.0 / LN2)
+    u = unpack_rgb_params(params.value, num_mixtures)
+    syms = [np.asarray(v, dtype=np.int64) for v in (r, g, b)]
+    x_r, x_g = grid.centers[syms[0]], grid.centers[syms[1]]
+    channels = [_symbol_bits(*rgb_channel_params(u, ch, x_r, x_g), sym, grid)
+                for ch, sym in zip("rgb", syms)]
+
+    def backward(g):
+        out = np.empty((n, num_mixtures, 12))
+        for i, (_, grads) in enumerate(channels):
+            out[..., i], out[..., 3 + i], out[..., 6 + i] = grads(g)
+        # c = tanh(raw column) shifts the means: mu_g + c_gr x_r and
+        # mu_b + c_br x_r + c_bg x_g
+        for col, c, mean_col, x in ((9, "c_gr", 4, x_r), (10, "c_br", 5, x_r),
+                                    (11, "c_bg", 5, x_g)):
+            out[..., col] = out[..., mean_col] * x[:, None] * (1 - u[c] * u[c])
+        return (out.reshape(n, -1),)
+
+    return ad.Node(sum(bits for bits, _ in channels), (params,), backward)
 
 
 def uniform_bits(num_points: int, num_channels: int, alphabet: int) -> float:

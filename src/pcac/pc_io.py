@@ -140,6 +140,8 @@ def load_blocks(path):
     pc = _read_cloud(path, ("x", "y", "z"))
     if not len(pc):
         raise EmptyGeometry(f"{path} has no points")
+    if not np.all(np.isfinite(pc.positions)):
+        raise OutOfRange(f"{path} holds a non-finite position")
     depth = max(1, int(np.ceil(np.log2(
         max(2.0, float(pc.positions.max()) + 1)))))
     return partition_blocks(voxelize(pc, depth))
@@ -178,7 +180,8 @@ def _round_half_away(x):
 def voxelize(pc: PointCloud, bit_depth: int) -> SparseTensor:
     """Floor positions to the integer grid; merge duplicates by color mean."""
     pos = np.asarray(pc.positions, dtype=np.float64)
-    if np.any(pos < 0) or np.any(pos >= (1 << bit_depth)):
+    # written so that NaN, which fails every comparison, is outside too
+    if not np.all((pos >= 0) & (pos < (1 << bit_depth))):
         raise OutOfRange(f"positions outside [0, 2^{bit_depth})")
     coords = np.floor(pos).astype(np.int64)
     colors = np.asarray(pc.colors, dtype=np.float64)

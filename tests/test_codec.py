@@ -484,6 +484,19 @@ MALFORMED_CHECKPOINT = {
     "broadcastable weight, no digest": _broadcastable_weight_without_digest,
     "metadata not JSON": lambda a: a.update({"__meta__": "{not json"}),
     "metadata without config": lambda a: a["__meta__"].pop("config"),
+    "no scales": lambda a: a["__meta__"]["config"].update(num_scales=0),
+    "one latent bin": lambda a: a["__meta__"]["config"].update(num_bins=1),
+    "one quantizer bin": lambda a: a["__meta__"]["quantizer"].update(
+        num_bins=1),
+    "quantizer bins differ": lambda a: a["__meta__"]["quantizer"].update(
+        num_bins=27),
+    "no hidden channels": lambda a: a["__meta__"]["config"].update(hidden=0),
+    "no latent channels": lambda a: a["__meta__"]["config"].update(
+        latent_channels=0),
+    "no mixtures": lambda a: a["__meta__"]["config"].update(mixtures=0),
+    "negative res-blocks": lambda a: a["__meta__"]["config"].update(
+        res_blocks=-1),
+    "fractional size": lambda a: a["__meta__"]["config"].update(hidden=8.5),
 }
 
 # edits of a checkpoint file's bytes -> ModelMismatch

@@ -131,17 +131,41 @@ def test_unpack_validates_widths():
         lh.rgb_joint_logprob(np.zeros((1, 120)), [256], [0], [0])
 
 
+def sigmoid_form_bits(w_logits, means, log_scales, symbols, grid,
+                      floor=lh.PROB_FLOOR):
+    """-log2 p of each symbol in plain numpy, by the sigmoid-form arithmetic
+    the training graph used before its one-node likelihood: per component
+    sigmoid((e - mu) * exp(-max(log_scale, LOG_SCALE_MIN))) at the bin's
+    edges, the bottom bin's lower and the top bin's upper CDF pinned to 0
+    and 1, softmax weights, and p floored at `floor`. [DERIVED] oracle."""
+    M = grid.num_symbols
+    lo = grid.edges[symbols][..., None]
+    hi = grid.edges[np.minimum(symbols + 1, M - 1)][..., None]
+    inv_s = np.exp(-np.maximum(log_scales, lh.LOG_SCALE_MIN))
+    sig = lambda z: 0.5 * (np.tanh(0.5 * z) + 1.0)
+    upper = np.where((symbols == M - 1)[..., None], 1.0,
+                     sig((hi - means) * inv_s))
+    lower = np.where((symbols == 0)[..., None], 0.0,
+                     sig((lo - means) * inv_s))
+    z = np.exp(w_logits - w_logits.max(axis=-1, keepdims=True))
+    w = z / z.sum(axis=-1, keepdims=True)
+    p = (w * (upper - lower)).sum(axis=-1)
+    return -np.log2(np.maximum(p, floor))
+
+
 def test_latent_bits_node_matches_numpy_path():
-    # the training graph and the coding path compute the same probabilities
+    # the one-node likelihood against the sigmoid-form arithmetic, with
+    # both saturated end bins present
     rng = np.random.default_rng(1)
     n, c, k = 7, 5, 4
     grid = lh.SymbolGrid(26)
     params = rng.normal(size=(n, c * 3 * k)) * 2
     symbols = rng.integers(0, 26, size=(n, c))
+    symbols[0], symbols[1] = 0, 25
     node = lh.latent_bits_node(ad.Node(params), symbols, c, k, grid)
-    pmfs = lh.latent_pmfs(params, c, k, grid)
-    rows = np.arange(n)[:, None], np.arange(c)[None, :]
-    expect = -np.log2(pmfs[rows[0], rows[1], symbols]).sum()
+    p = params.reshape(n, c, 3 * k)
+    expect = sigmoid_form_bits(p[..., :k], p[..., k:2 * k], p[..., 2 * k:],
+                               symbols, grid).sum()
     assert float(node.value) == pytest.approx(expect, rel=1e-12)
 
 
@@ -150,28 +174,89 @@ def test_rgb_bits_node_matches_joint_logprob():
     n, k = 9, 3
     params = rng.normal(size=(n, 12 * k))
     r, g, b = (rng.integers(0, 256, size=n) for _ in range(3))
+    r[0], g[0], b[0] = 0, 255, 0
+    r[1], g[1], b[1] = 255, 0, 255
     node = lh.rgb_bits_node(ad.Node(params), r, g, b, k)
-    expect = -lh.rgb_joint_logprob(params, r, g, b, k).sum() / np.log(2)
+    p = params.reshape(n, k, 12)
+    x_r = lh.RGB_GRID.centers[r][:, None]
+    x_g = lh.RGB_GRID.centers[g][:, None]
+    mu_g = p[..., 4] + np.tanh(p[..., 9]) * x_r
+    mu_b = p[..., 5] + (np.tanh(p[..., 10]) * x_r + np.tanh(p[..., 11]) * x_g)
+    expect = sum(
+        sigmoid_form_bits(p[..., i], mu, p[..., 6 + i], sym, lh.RGB_GRID).sum()
+        for i, (mu, sym) in enumerate(((p[..., 3], r), (mu_g, g), (mu_b, b))))
     assert float(node.value) == pytest.approx(expect, rel=1e-12)
+    # and the coding path's pmfs give the same total
+    joint = -lh.rgb_joint_logprob(params, r, g, b, k).sum() / np.log(2)
+    assert float(node.value) == pytest.approx(joint, rel=1e-12)
 
 
-def test_bits_nodes_gradients_match_fd():
-    # [DERIVED] finite differences through the graph heads
-    rng = np.random.default_rng(3)
-    n, c, k = 2, 2, 2
-    grid = lh.SymbolGrid(26)
-    params = rng.normal(size=(n, c * 3 * k))
-    symbols = rng.integers(0, 26, size=(n, c))
+def assert_grad_matches_fd(bits_node, params, h=1e-6):
+    """Central differences of every entry, at criterion 4's tolerance."""
     node = ad.Node(params)
-    ad.backward(lh.latent_bits_node(node, symbols, c, k, grid))
-    h = 1e-5
+    ad.backward(bits_node(node))
     for i in np.ndindex(params.shape):
         pp, pm = params.copy(), params.copy()
         pp[i] += h
         pm[i] -= h
-        fd = (float(lh.latent_bits_node(ad.Node(pp), symbols, c, k, grid).value)
-              - float(lh.latent_bits_node(ad.Node(pm), symbols, c, k, grid).value)) / (2 * h)
-        assert node.grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+        fd = (float(bits_node(ad.Node(pp)).value)
+              - float(bits_node(ad.Node(pm)).value)) / (2 * h)
+        an = node.grad[i]
+        assert abs(fd - an) <= max(1e-4 * max(abs(fd), abs(an)), 1e-7), \
+            (i, fd, an)
+    return node.grad
+
+
+def test_bits_nodes_gradients_match_fd():
+    # [DERIVED] finite differences through both heads. Row 0 codes the
+    # bottom and top symbols (saturated edges); row 1 has every log-scale
+    # below LOG_SCALE_MIN, with means near the coded bins, where p is not
+    # a difference of two CDFs rounded near 0 or 1; in row 2 one channel's
+    # symbol lies so far from every mean that p, though above 0, is
+    # floored at PROB_FLOOR
+    rng = np.random.default_rng(3)
+    n, c, k = 4, 2, 2
+    grid = lh.SymbolGrid(26)
+    params = rng.normal(size=(n, c, 3 * k))
+    symbols = rng.integers(1, 25, size=(n, c))
+    symbols[0] = [0, 25]
+    params[1, :, 2 * k:] = lh.LOG_SCALE_MIN - rng.uniform(0.5, 3, (c, k))
+    params[1, :, k:2 * k] = grid.centers[symbols[1]][:, None] \
+        + rng.uniform(-0.05, 0.05, (c, k))
+    symbols[2, 0] = 0
+    params[2, 0, k:2 * k] = grid.edges[1] + 0.03
+    params[2, 0, 2 * k:] = lh.LOG_SCALE_MIN
+    params = params.reshape(n, -1)
+    row = (params[2, :k], params[2, k:2 * k], params[2, 2 * k:3 * k],
+           symbols[2, 0], grid)
+    assert -np.log2(lh.PROB_FLOOR) < sigmoid_form_bits(*row, floor=0) < 100
+    grad = assert_grad_matches_fd(
+        lambda p: lh.latent_bits_node(p, symbols, c, k, grid), params)
+    assert np.all(grad[1].reshape(c, 3 * k)[:, 2 * k:] == 0)
+    assert np.all(grad[2, :3 * k] == 0)
+
+    n, k = 4, 2
+    params = rng.normal(size=(n, k, 12))
+    r, g, b = (rng.integers(1, 255, size=n) for _ in range(3))
+    r[0], g[0], b[0] = 0, 255, 0
+    params[1, :, 6:9] = lh.LOG_SCALE_MIN - rng.uniform(0.5, 3, (k, 3))
+    x_r, x_g, x_b = lh.RGB_GRID.centers[[r[1], g[1], b[1]]]
+    c_gr, c_br, c_bg = np.tanh(params[1, :, 9:]).T
+    shift = np.stack([0 * c_gr, c_gr * x_r, c_br * x_r + c_bg * x_g], -1)
+    params[1, :, 3:6] = np.array([x_r, x_g, x_b]) - shift \
+        + rng.uniform(-0.006, 0.006, (k, 3))
+    r[2] = 255
+    params[2, :, 3] = lh.RGB_GRID.edges[255] - 0.03
+    params[2, :, 6] = lh.LOG_SCALE_MIN
+    row = (params[2, :, 0], params[2, :, 3], params[2, :, 6], r[2],
+           lh.RGB_GRID)
+    assert -np.log2(lh.PROB_FLOOR) < sigmoid_form_bits(*row, floor=0) < 100
+    grad = assert_grad_matches_fd(
+        lambda p: lh.rgb_bits_node(p, r, g, b, k), params.reshape(n, -1))
+    grad = grad.reshape(n, k, 12)
+    assert np.all(grad[1, :, 6:9] == 0)
+    assert np.all(grad[2, :, [0, 3, 6]] == 0)
+    assert np.any(grad[2, :, 9:] != 0)
 
 
 def test_uniform_bits():

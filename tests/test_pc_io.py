@@ -128,6 +128,36 @@ def test_voxelize_range_check():
                                         np.array([[0, 0, 0]])), 3)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_position_raises_out_of_range(tmp_path, value):
+    # NaN fails every comparison and inf overflows the bit depth: both are
+    # out of range, in voxelize and in load_blocks (whose bit depth for
+    # these points would otherwise be 1)
+    path = tmp_path / "cloud.ply"
+    path.write_text("\n".join([
+        "ply", "format ascii 1.0", "element vertex 2",
+        "property float x", "property float y", "property float z",
+        "property uchar red", "property uchar green", "property uchar blue",
+        "end_header", "1 1 1 4 5 6", f"{value} 0 0 4 5 6"]) + "\n")
+    pc = pc_io.read_ply(path)
+    with pytest.raises(OutOfRange):
+        pc_io.voxelize(pc, 10)
+    with pytest.raises(OutOfRange):
+        pc_io.load_blocks(path)
+
+
+def test_binary_nan_position_raises_out_of_range(tmp_path):
+    path = tmp_path / "cloud.ply"
+    positions = np.array([[1.0, 1.0, 1.0], [np.nan, 0.0, 0.0]])
+    pc_io.write_ply(pc_io.PointCloud(positions, np.zeros((2, 3))), path)
+    pc = pc_io.read_ply(path)
+    assert np.isnan(pc.positions[1, 0])
+    with pytest.raises(OutOfRange):
+        pc_io.voxelize(pc, 1)
+    with pytest.raises(OutOfRange):
+        pc_io.load_blocks(path)
+
+
 def test_partition_blocks_covers_and_localizes():
     rng = np.random.default_rng(2)
     coords = np.unique(rng.integers(0, 200, size=(800, 3)), axis=0)
