@@ -3,6 +3,10 @@
 Nodes form a DAG; backward walks nodes in reverse construction order, which
 fixes the reduction order and makes gradients bit-reproducible. Everything is
 64-bit; no broadcasting beyond what each primitive states.
+
+Adam's moment decays and epsilon are the constants `BETA1`, `BETA2` and
+`EPS`; the caller passes the learning rate of each step (the trainer's
+schedule is `TrainConfig.lr_at`).
 """
 
 from __future__ import annotations
@@ -128,35 +132,6 @@ def concat_cols(*nodes) -> Node:
     return Node(np.concatenate([n.value for n in nodes], axis=-1), nodes, bwd)
 
 
-def gather_rows(x: Node, idx, fill: float = 0.0) -> Node:
-    """Rows x[idx]; idx == -1 yields a constant `fill` row (no gradient)."""
-    idx = np.asarray(idx, dtype=np.int64)
-    valid = idx >= 0
-    safe = np.where(valid, idx, 0)
-    v = x.value[safe].copy()
-    if not valid.all():
-        v[~valid] = fill
-
-    def bwd(g):
-        gx = np.zeros_like(x.value)
-        np.add.at(gx, idx[valid], g[valid])
-        return (gx,)
-
-    return Node(v, (x,), bwd)
-
-
-def rowwise_max(*nodes) -> Node:
-    """Elementwise max across same-shape nodes; ties route grad to the lowest index."""
-    stacked = np.stack([n.value for n in nodes], axis=0)
-    arg = np.argmax(stacked, axis=0)  # first occurrence = lowest index
-    v = np.take_along_axis(stacked, arg[None], axis=0)[0]
-
-    def bwd(g):
-        return tuple(g * (arg == i) for i in range(len(nodes)))
-
-    return Node(v, nodes, bwd)
-
-
 def sum_all(x: Node) -> Node:
     shape = x.value.shape
     return Node(np.array(x.value.sum()), (x,),
@@ -165,26 +140,14 @@ def sum_all(x: Node) -> Node:
 
 # --------------------------------------------------------------------- adam
 
-class AdamConfig:
-    """Adam hyperparameters with step decay of the learning rate."""
-
-    def __init__(self, lr=5e-4, beta1=0.9, beta2=0.999, eps=1e-8,
-                 decay=0.75, decay_interval=5):
-        assert lr > 0 and 0 < beta1 < 1 and 0 < beta2 < 1
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.decay = decay
-        self.decay_interval = decay_interval
-
-    def lr_at(self, epoch: int) -> float:
-        return self.lr * self.decay ** (epoch // self.decay_interval)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
-def adam_step(params, config: AdamConfig, epoch: int = 0):
-    """One Adam update (bias-corrected) over `params` in fixed order."""
-    lr = config.lr_at(epoch)
+def adam_step(params, lr: float):
+    """One Adam update (bias-corrected) with learning rate `lr` over
+    `params` in fixed order."""
     for p in params:
         g = p.grad
         if g is None:
@@ -193,8 +156,8 @@ def adam_step(params, config: AdamConfig, epoch: int = 0):
             p.m = np.zeros_like(p.value)
             p.v = np.zeros_like(p.value)
         p.t += 1
-        p.m = config.beta1 * p.m + (1 - config.beta1) * g
-        p.v = config.beta2 * p.v + (1 - config.beta2) * g * g
-        m_hat = p.m / (1 - config.beta1 ** p.t)
-        v_hat = p.v / (1 - config.beta2 ** p.t)
-        p.value -= lr * m_hat / (np.sqrt(v_hat) + config.eps)
+        p.m = BETA1 * p.m + (1 - BETA1) * g
+        p.v = BETA2 * p.v + (1 - BETA2) * g * g
+        m_hat = p.m / (1 - BETA1 ** p.t)
+        v_hat = p.v / (1 - BETA2 ** p.t)
+        p.value -= lr * m_hat / (np.sqrt(v_hat) + EPS)

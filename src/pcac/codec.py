@@ -31,7 +31,7 @@ from . import range_coder as rc
 from .errors import (ChecksumFailure, CorruptStream, DesyncError,
                      DigestMismatch, ModelMismatch, ShapeMismatch,
                      SymbolOutOfRange)
-from .quantizer import QuantizerConfig, dequantize, quantize_hard, quantize_soft
+from .quantizer import TEMPERATURE, dequantize, quantize_hard, quantize_soft
 from .sparse_nn import KernelMapCache, ModelConfig, ScaleDecoder, ScaleEncoder
 from .tensor_core import build_pyramid, sort_coords
 
@@ -41,14 +41,14 @@ VERSION = 4
 
 
 class CodecModel:
-    """The full stack: one encoder and one decoder per scale, plus quantizer."""
+    """The full stack: one encoder and one decoder per scale; latents are
+    quantized to the centers of `latent_grid`."""
 
     def __init__(self, config: ModelConfig | None = None, seed: int = 0):
         self._build(config or ModelConfig(), np.random.default_rng(seed))
 
     def _build(self, config: ModelConfig, rng):
         self.config = config
-        self.quantizer = QuantizerConfig(num_bins=self.config.num_bins)
         self.encoders = [ScaleEncoder(n, self.config, rng)
                          for n in range(1, self.config.num_scales + 1)]
         self.decoders = [ScaleDecoder(n, self.config, rng)
@@ -81,13 +81,22 @@ class CodecModel:
             return self._digest_cache
         h = hashlib.sha256()
         h.update(json.dumps(self.config.to_dict(), sort_keys=True).encode())
-        h.update(json.dumps(self.quantizer.to_dict(), sort_keys=True).encode())
+        h.update(json.dumps(_quantizer_entry(self.config.num_bins),
+                            sort_keys=True).encode())
         for name, value in sorted(_per_offset_arrays(self),
                                   key=lambda item: item[0]):
             h.update(name.encode())
             h.update(np.ascontiguousarray(value, dtype=np.float64))
         self._digest_cache = h.digest()[:8]
         return self._digest_cache
+
+
+def _quantizer_entry(num_bins: int) -> dict:
+    """The quantizer as checkpoints and the digest record it. The config
+    fixes it: its centers are the latent grid's and its temperature is a
+    constant."""
+    return {"num_bins": num_bins, "lo": -1.0, "hi": 1.0,
+            "temperature": TEMPERATURE}
 
 
 def _per_offset_arrays(model: CodecModel):
@@ -135,16 +144,13 @@ _LEAST_SIZE = dict(num_scales=1, hidden=1, latent_channels=1, res_blocks=0,
                    mixtures=1, num_bins=2)
 
 
-def _check_sizes(config: ModelConfig, quantizer: dict):
+def _check_sizes(config: ModelConfig):
     """ModelMismatch unless every config size is an integer at or above its
-    least value and the quantizer has the config's number of bins."""
+    least value."""
     sizes = config.to_dict()
     for name, least in _LEAST_SIZE.items():
         if not isinstance(sizes[name], int) or sizes[name] < least:
             raise ModelMismatch(f"checkpoint config {name} = {sizes[name]!r}")
-    if quantizer["num_bins"] != config.num_bins:
-        raise ModelMismatch(f"checkpoint quantizer has {quantizer['num_bins']!r}"
-                            f" bins, its config {config.num_bins}")
 
 
 class _Undrawn:
@@ -163,11 +169,13 @@ def _read_checkpoint(path):
             raise ModelMismatch("checkpoint has no metadata")
         meta = json.loads(str(data["__meta__"]))
         config = ModelConfig.from_dict(meta.pop("config"))
+        _check_sizes(config)
         quantizer = meta.pop("quantizer")
-        _check_sizes(config, quantizer)
+        if quantizer != _quantizer_entry(config.num_bins):
+            raise ModelMismatch(f"checkpoint quantizer {quantizer!r} is not "
+                                f"the one its config fixes")
         model = CodecModel.__new__(CodecModel)
         model._build(config, _Undrawn())
-        model.quantizer = QuantizerConfig.from_dict(quantizer)
         for name, p in model.named_parameters():
             p.value = np.ascontiguousarray(
                 _stored_array(data, names, name, p.value.shape),
@@ -189,7 +197,7 @@ class ModelCheckpoint:
         arrays = {name: p.value for name, p in self.model.named_parameters()}
         meta = dict(self.metadata)
         meta["config"] = self.model.config.to_dict()
-        meta["quantizer"] = self.model.quantizer.to_dict()
+        meta["quantizer"] = _quantizer_entry(self.model.config.num_bins)
         meta["digest"] = self.model.digest().hex()
         # the weights are float64 noise: compression saved under 5% and
         # took most of the load time
@@ -247,7 +255,7 @@ def _analyze(model: CodecModel, geometry, rgb_features):
     """Encoder side of one block: its kernel maps, the top-scale latent
     symbols, and an iterator over the symbols of every `_top_down` pass."""
     maps, rgb = prepare_block(geometry, rgb_features, model.config.num_scales)
-    symbols = [quantize_hard(node.value, model.quantizer)[0]
+    symbols = [quantize_hard(node.value, model.latent_grid)[0]
                for node in run_encoders(model, rgb, maps)]
     passes = [s.reshape(-1) for s in symbols[-2::-1]] + list(rgb.T)
     return maps, symbols[-1], iter(passes)
@@ -401,7 +409,7 @@ def _top_down(model: CodecModel, maps: KernelMapCache, symbols, code_pass):
         # only values cross a scale boundary, so no decoder's autodiff graph
         # outlives its scale
         p, forwarded = (node.value for node in model.decoders[n - 1](
-            ad.constant(dequantize(symbols, model.quantizer)),
+            ad.constant(dequantize(symbols, model.latent_grid)),
             None if forwarded is None else ad.constant(forwarded), maps))
         if n > 1:
             symbols = code_pass(cfg.num_scales + 1 - n, model.latent_grid,
@@ -567,8 +575,8 @@ def block_loss(model: CodecModel, maps: KernelMapCache, rgb,
     """
     cfg = model.config
     latent_pre = run_encoders(model, rgb, maps)
-    symbols = [quantize_hard(n.value, model.quantizer)[0] for n in latent_pre]
-    quantized = [quantize_soft(n, model.quantizer, mode=quant_mode)
+    symbols = [quantize_hard(n.value, model.latent_grid)[0] for n in latent_pre]
+    quantized = [quantize_soft(n, model.latent_grid, mode=quant_mode)
                  for n in latent_pre]
 
     terms = []

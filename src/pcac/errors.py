@@ -11,10 +11,6 @@ class DuplicateCoordinate(PcacError):
     pass
 
 
-class StrideViolation(PcacError):
-    pass
-
-
 class EmptyGeometry(PcacError):
     pass
 

@@ -9,7 +9,8 @@ import numpy as np
 
 from .errors import (EmptyGeometry, MalformedHeader, MissingProperty,
                      OutOfRange, SymbolOutOfRange, UnsupportedFormat)
-from .tensor_core import SparseTensor, build_sparse_tensor, pack_coords
+from .tensor_core import (COORD_BITS, SparseTensor, build_sparse_tensor,
+                          pack_coords)
 
 _PLY_DTYPES = {
     "char": "i1", "int8": "i1",
@@ -135,8 +136,9 @@ def read_ply(path) -> PointCloud:
 
 def load_blocks(path):
     """A PLY as 64-aligned blocks, voxelized at the smallest bit depth that
-    holds its positions. Colours are optional, as a decoder needs geometry
-    only; the blocks of a file without them raise MissingProperty on `rgb`."""
+    holds its positions; OutOfRange if that is above COORD_BITS. Colours are
+    optional, as a decoder needs geometry only; the blocks of a file without
+    them raise MissingProperty on `rgb`."""
     pc = _read_cloud(path, ("x", "y", "z"))
     if not len(pc):
         raise EmptyGeometry(f"{path} has no points")
@@ -144,6 +146,9 @@ def load_blocks(path):
         raise OutOfRange(f"{path} holds a non-finite position")
     depth = max(1, int(np.ceil(np.log2(
         max(2.0, float(pc.positions.max()) + 1)))))
+    if depth > COORD_BITS:
+        raise OutOfRange(f"{path} needs a bit depth of {depth}; at most "
+                         f"{COORD_BITS} is supported")
     return partition_blocks(voxelize(pc, depth))
 
 

@@ -1,8 +1,9 @@
-"""Scalar quantizer over fixed centers with a straight-through training path.
+"""Scalar quantizer over the latent grid with a straight-through training path.
 
-The 26 centers are evenly spaced on [-1, 1] and never learned, so the
-symbol <-> value map is identical on the encoder and decoder side; only
-integer symbols cross the bitstream.
+The centers are those of the model's latent `SymbolGrid`: 26 evenly spaced
+on [-1, 1], never learned, so the symbol <-> value map is identical on the
+encoder and decoder side; only integer symbols cross the bitstream. The
+soft surrogate's temperature is the constant `TEMPERATURE`.
 """
 
 from __future__ import annotations
@@ -11,70 +12,55 @@ import numpy as np
 
 from .autodiff import Node
 from .errors import NonFiniteInput
+from .likelihood import SymbolGrid
+
+TEMPERATURE = 1.0
 
 
-class QuantizerConfig:
-    def __init__(self, num_bins: int = 26, lo: float = -1.0, hi: float = 1.0,
-                 temperature: float = 1.0):
-        assert num_bins >= 2
-        self.num_bins = num_bins
-        self.lo = lo
-        self.hi = hi
-        self.temperature = temperature
-        self.centers = np.linspace(lo, hi, num_bins)  # strictly increasing
-
-    def to_dict(self):
-        return {"num_bins": self.num_bins, "lo": self.lo, "hi": self.hi,
-                "temperature": self.temperature}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["num_bins"], d["lo"], d["hi"], d["temperature"])
-
-
-def quantize_hard(values, config: QuantizerConfig):
+def quantize_hard(values, grid: SymbolGrid):
     """Nearest-center quantization. Returns (symbols, dequantized values).
 
     Ties between two equidistant centers go to the lower symbol; values
-    outside [lo, hi] clamp to the end centers.
+    outside [-1, 1] clamp to the end centers.
     """
     v = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise NonFiniteInput("quantizer input contains non-finite values")
-    c = config.centers
+    c = grid.centers
     # midpoints between adjacent centers; v exactly on a midpoint belongs
-    # to the lower center, hence side="left" on the midpoint grid
+    # to the lower center, hence side="left" on the midpoint grid. They are
+    # not grid.edges[1:], which differ from them in the last bit.
     mids = (c[:-1] + c[1:]) / 2.0
     symbols = np.searchsorted(mids, v, side="left")
     return symbols.astype(np.int64), c[symbols]
 
 
-def dequantize(symbols, config: QuantizerConfig):
-    return config.centers[np.asarray(symbols, dtype=np.int64)]
+def dequantize(symbols, grid: SymbolGrid):
+    return grid.centers[np.asarray(symbols, dtype=np.int64)]
 
 
-def soft_assignment(values, config: QuantizerConfig):
+def soft_assignment(values, grid: SymbolGrid):
     """Differentiable surrogate: softmax(-(v-c)^2 / T) expectation of centers."""
     v = np.asarray(values, dtype=np.float64)[..., None]
-    d2 = -((v - config.centers) ** 2) / config.temperature
+    d2 = -((v - grid.centers) ** 2) / TEMPERATURE
     d2 = d2 - d2.max(axis=-1, keepdims=True)
     w = np.exp(d2)
     w /= w.sum(axis=-1, keepdims=True)
-    return (w * config.centers).sum(axis=-1), w
+    return (w * grid.centers).sum(axis=-1), w
 
 
-def _soft_grad(values, config: QuantizerConfig):
+def _soft_grad(values, grid: SymbolGrid):
     """d(soft_assignment)/dv, elementwise."""
     v = np.asarray(values, dtype=np.float64)[..., None]
-    c = config.centers
-    _, w = soft_assignment(values, config)
-    da = -2.0 * (v - c) / config.temperature  # d logits / dv
+    c = grid.centers
+    _, w = soft_assignment(values, grid)
+    da = -2.0 * (v - c) / TEMPERATURE  # d logits / dv
     mean_da = (w * da).sum(axis=-1, keepdims=True)
     dw = w * (da - mean_da)
     return (dw * c).sum(axis=-1)
 
 
-def quantize_soft(x: Node, config: QuantizerConfig, mode: str = "ste") -> Node:
+def quantize_soft(x: Node, grid: SymbolGrid, mode: str = "ste") -> Node:
     """Quantization node for the training graph.
 
     mode="ste": forward emits the hard center values (exactly what the coder
@@ -83,11 +69,11 @@ def quantize_soft(x: Node, config: QuantizerConfig, mode: str = "ste") -> Node:
     used by gradient-checking oracles).
     """
     if mode == "ste":
-        _, deq = quantize_hard(x.value, config)
+        _, deq = quantize_hard(x.value, grid)
         fwd = deq
     elif mode == "soft":
-        fwd, _ = soft_assignment(x.value, config)
+        fwd, _ = soft_assignment(x.value, grid)
     else:
         raise ValueError(f"unknown quantizer mode {mode!r}")
-    dsoft = _soft_grad(x.value, config)
+    dsoft = _soft_grad(x.value, grid)
     return Node(fwd, (x,), lambda g: (g * dsoft,))

@@ -79,12 +79,12 @@ class KernelMapCache:
         self.pyramid = pyramid
         self._maps = {}
 
-    def self_map(self, level: int, kernel_size: int = 3) -> FusedKernelMap:
-        key = ("self", level, kernel_size)
+    def self_map(self, level: int) -> FusedKernelMap:
+        """3x3x3 map of `level` onto itself."""
+        key = ("self", level)
         if key not in self._maps:
             c = self.pyramid.coords[level]
-            pairs = build_kernel_map(c, c, kernel_size,
-                                     self.pyramid.stride(level))
+            pairs = build_kernel_map(c, c, 3, self.pyramid.stride(level))
             self._maps[key] = FusedKernelMap(pairs, len(c), len(c))
         return self._maps[key]
 
@@ -173,10 +173,26 @@ class SparseConv:
 
 
 def max_pool2(x: Node, child_rows) -> Node:
-    """Channel-wise max over existing stride-2 children (ties: lowest child)."""
-    gathered = [ad.gather_rows(x, child_rows[:, oi], fill=-np.inf)
-                for oi in range(child_rows.shape[1])]
-    return ad.rowwise_max(*gathered)
+    """Channel-wise max over existing stride-2 children (ties: lowest child).
+
+    `child_rows` is `KernelMapCache.pool_children`'s (P, 8) table; every
+    parent has a child. The gradient goes to the winning child row of each
+    channel only; as each child has one parent, no winner repeats.
+    """
+    present = child_rows >= 0
+    gathered = x.value.take(np.where(present, child_rows, 0), axis=0)
+    gathered[~present] = -np.inf  # (P, 8, C)
+    winner = np.argmax(gathered, axis=1)  # first occurrence: lowest child
+    rows = np.take_along_axis(child_rows, winner, axis=1)  # (P, C)
+    cols = np.arange(x.value.shape[1])
+    value = np.take_along_axis(gathered, winner[:, None], axis=1)[:, 0]
+
+    def bwd(g):
+        gx = np.zeros_like(x.value)
+        gx[rows, cols] = g
+        return (gx,)
+
+    return Node(value, (x,), bwd)
 
 
 class ResidualBlock:

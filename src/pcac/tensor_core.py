@@ -11,18 +11,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateCoordinate, EmptyGeometry, ShapeMismatch, StrideViolation
+from .errors import DuplicateCoordinate, EmptyGeometry, OutOfRange, ShapeMismatch
 
-# Coordinates are packed into a single int64 key for sorting / hashing.
-# 21 bits per component, biased; covers roughly +/- 1e6 which is far beyond
-# any voxel grid this codec handles.
-_BIAS = 1 << 20
+# Coordinates are packed into a single int64 key for sorting / hashing:
+# COORD_BITS + 1 bits per component, biased by 2**COORD_BITS, so each
+# component must lie in [-2**COORD_BITS, 2**COORD_BITS).
+COORD_BITS = 20
+_BIAS = 1 << COORD_BITS
+_FIELD = COORD_BITS + 1
+
+
+def _outside(c: np.ndarray) -> bool:
+    return c.size > 0 and (c.min() < -_BIAS or c.max() >= _BIAS)
+
+
+def _keys(c: np.ndarray) -> np.ndarray:
+    b = c + _BIAS
+    return (b[:, 0] << 2 * _FIELD) | (b[:, 1] << _FIELD) | b[:, 2]
 
 
 def pack_coords(coords: np.ndarray) -> np.ndarray:
-    """Pack (N,3) int coords into sortable int64 keys (lexicographic order)."""
+    """Pack (N,3) int coords into sortable int64 keys (lexicographic order).
+
+    A component outside [-2**COORD_BITS, 2**COORD_BITS) raises OutOfRange.
+    """
     c = np.asarray(coords, dtype=np.int64)
-    return ((c[:, 0] + _BIAS) << 42) | ((c[:, 1] + _BIAS) << 21) | (c[:, 2] + _BIAS)
+    if _outside(c):
+        raise OutOfRange(f"coordinates outside [-2^{COORD_BITS}, "
+                         f"2^{COORD_BITS})")
+    return _keys(c)
 
 
 def sort_coords(coords: np.ndarray) -> np.ndarray:
@@ -47,7 +64,11 @@ class CoordIndex:
         """Row indices of `coords` (or -1 where absent)."""
         if len(self.keys) == 0:
             return np.full(len(coords), -1, dtype=np.int64)
-        q = pack_coords(coords)
+        c = np.asarray(coords, dtype=np.int64)
+        q = _keys(c)
+        if _outside(c):
+            # no indexed coordinate is out of range; -1 is below every key
+            q[((c < -_BIAS) | (c >= _BIAS)).any(axis=1)] = -1
         pos = np.searchsorted(self.keys, q)
         pos = np.minimum(pos, len(self.keys) - 1)
         hit = self.keys[pos] == q
@@ -60,17 +81,15 @@ class SparseTensor:
 
     coords: np.ndarray  # (N, 3) int64, strictly lexicographically increasing
     features: np.ndarray  # (N, C) float64
-    stride: int = 1
 
     def __len__(self):
         return len(self.coords)
 
 
-def build_sparse_tensor(coords, features, stride: int = 1) -> SparseTensor:
+def build_sparse_tensor(coords, features) -> SparseTensor:
     """Canonicalize (sort, validate) raw coordinate/feature arrays.
 
-    Raises DuplicateCoordinate on repeated coords and StrideViolation when a
-    component is not divisible by `stride`.
+    Raises DuplicateCoordinate on repeated coords.
     """
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
     features = np.asarray(features, dtype=np.float64)
@@ -79,10 +98,6 @@ def build_sparse_tensor(coords, features, stride: int = 1) -> SparseTensor:
     if len(features) != len(coords):
         raise ShapeMismatch(
             f"{len(features)} feature rows for {len(coords)} coordinates")
-    if stride < 1 or (stride & (stride - 1)) != 0:
-        raise StrideViolation(f"stride must be a positive power of two, got {stride}")
-    if np.any(coords % stride != 0):
-        raise StrideViolation(f"coordinate not divisible by stride {stride}")
     perm = sort_coords(coords)
     coords = coords[perm]
     features = features[perm]
@@ -90,7 +105,7 @@ def build_sparse_tensor(coords, features, stride: int = 1) -> SparseTensor:
     if len(keys) > 1 and np.any(keys[1:] == keys[:-1]):
         i = int(np.argmax(keys[1:] == keys[:-1]))
         raise DuplicateCoordinate(f"duplicate coordinate {tuple(coords[i])}")
-    return SparseTensor(coords, features, stride)
+    return SparseTensor(coords, features)
 
 
 def downsample_coords(coords: np.ndarray, stride: int) -> np.ndarray:

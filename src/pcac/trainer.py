@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import AdamConfig, adam_step, backward
+from .autodiff import adam_step, backward
 from .codec import (CodecModel, ModelCheckpoint, block_loss, encode_blocks,
                     measure_bpp, prepare_block)
 from .errors import EmptyDataset
@@ -27,9 +27,10 @@ class TrainConfig:
     seed: int = 0
     val_fraction: float = 0.1
 
-    def adam(self) -> AdamConfig:
-        return AdamConfig(lr=self.lr, decay=self.lr_decay,
-                          decay_interval=self.lr_decay_interval)
+    def lr_at(self, epoch: int) -> float:
+        """Adam's learning rate in `epoch`: `lr`, decayed by `lr_decay`
+        every `lr_decay_interval` epochs."""
+        return self.lr * self.lr_decay ** (epoch // self.lr_decay_interval)
 
 
 def _as_pairs(blocks):
@@ -64,7 +65,6 @@ def train(blocks, config: TrainConfig | None = None,
         val = tr
 
     params = model.parameters()
-    adam_cfg = config.adam()
     best = None  # (val_bits_per_point, epoch, weights)
     bad_epochs = 0
     start = time.monotonic()
@@ -88,7 +88,7 @@ def train(blocks, config: TrainConfig | None = None,
             for p in params:
                 if p.grad is not None:
                     p.grad /= len(batch)
-            adam_step(params, adam_cfg, epoch)
+            adam_step(params, config.lr_at(epoch))
             model.mark_dirty()
 
         val_bits = 0.0
@@ -103,7 +103,7 @@ def train(blocks, config: TrainConfig | None = None,
         history.append(val_bpp)
         if log:
             log(f"epoch {epoch}: val {val_bpp:.3f} bits/point "
-                f"(lr {adam_cfg.lr_at(epoch):.2e})")
+                f"(lr {config.lr_at(epoch):.2e})")
 
         if best is None or val_bpp < best[0]:
             best = (val_bpp, epoch,

@@ -3,6 +3,7 @@ import pytest
 
 from pcac import autodiff as ad
 from pcac.errors import NonScalarLoss, ShapeMismatch
+from pcac.trainer import TrainConfig
 
 
 def fd_grad(f, x, h=1e-6):
@@ -48,38 +49,15 @@ def test_binary_grads():
         np.testing.assert_allclose(nb2.grad, fb, atol=1e-6)
 
 
-def test_gather_scatter_concat_grads():
+def test_concat_cols_grads():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(5, 3))
-    idx = np.array([0, 2, 2, -1, 4])
-
-    n = ad.Node(x)
-    out = ad.gather_rows(n, idx, fill=7.0)
-    assert np.allclose(out.value[3], 7.0)
-    w = rng.normal(size=out.value.shape)
-    ad.backward(ad.sum_all(ad.mul(out, ad.Node(w))))
-    expect = np.zeros_like(x)
-    for j, i in enumerate(idx):
-        if i >= 0:
-            expect[i] += w[j]
-    np.testing.assert_allclose(n.grad, expect, atol=1e-12)
-
     a, b = ad.Node(x[:, :2]), ad.Node(x[:, 2:])
     cat = ad.concat_cols(a, b)
     w = rng.normal(size=(5, 3))
     ad.backward(ad.sum_all(ad.mul(cat, ad.Node(w))))
     np.testing.assert_allclose(a.grad, w[:, :2])
     np.testing.assert_allclose(b.grad, w[:, 2:])
-
-
-def test_rowwise_max_tie_goes_to_lowest_index():
-    a = ad.Node(np.array([[1.0, 5.0]]))
-    b = ad.Node(np.array([[1.0, 2.0]]))
-    out = ad.rowwise_max(a, b)
-    assert out.value.tolist() == [[1.0, 5.0]]
-    ad.backward(ad.sum_all(out))
-    assert a.grad.tolist() == [[1.0, 1.0]]  # tie at 1.0 routes to a
-    assert b.grad.tolist() == [[0.0, 0.0]]
 
 
 def test_shared_node_accumulates_both_paths():
@@ -99,7 +77,7 @@ def test_backward_rejects_nonscalar():
 
 def test_adam_lr_schedule():
     # [PAPER] 5e-4 decayed by 0.75 every 5 epochs
-    cfg = ad.AdamConfig()
+    cfg = TrainConfig()
     assert cfg.lr_at(0) == pytest.approx(5e-4)
     assert cfg.lr_at(4) == pytest.approx(5e-4)
     assert cfg.lr_at(5) == pytest.approx(3.75e-4)
@@ -110,8 +88,7 @@ def test_adam_first_step_is_lr_sized():
     # [DERIVED] with bias correction the first update is lr * sign(g)
     p = ad.Parameter(np.array([1.0, -2.0]))
     p.grad = np.array([0.3, -0.7])
-    cfg = ad.AdamConfig(lr=1e-2)
-    ad.adam_step([p], cfg, epoch=0)
+    ad.adam_step([p], 1e-2)
     np.testing.assert_allclose(p.value, [1.0 - 1e-2, -2.0 + 1e-2], rtol=1e-6)
 
 
@@ -124,7 +101,7 @@ def test_adam_skips_unused_params_and_is_deterministic():
         q = ad.Parameter(init.copy())
         for step in range(10):
             p.grad = np.sin(init + step)
-            ad.adam_step([p, q], ad.AdamConfig(), epoch=step)
+            ad.adam_step([p, q], TrainConfig().lr_at(step))
         return p.value.copy(), q.value.copy()
 
     p1, q1 = run()
@@ -137,11 +114,10 @@ def test_adam_moments_are_allocated_on_first_step():
     # a parameter that is only ever read (coding) carries no Adam state
     p = ad.Parameter(np.ones((2, 3)))
     assert p.m is None and p.v is None
-    ad.adam_step([p], ad.AdamConfig())  # no gradient: no step, no state
+    ad.adam_step([p], 5e-4)  # no gradient: no step, no state
     assert p.m is None and p.v is None and p.t == 0
     p.grad = np.full((2, 3), 0.5)
-    cfg = ad.AdamConfig()
-    ad.adam_step([p], cfg)
+    ad.adam_step([p], 5e-4)
     assert p.t == 1
-    np.testing.assert_array_equal(p.m, (1 - cfg.beta1) * p.grad)
-    np.testing.assert_array_equal(p.v, (1 - cfg.beta2) * p.grad * p.grad)
+    np.testing.assert_array_equal(p.m, (1 - ad.BETA1) * p.grad)
+    np.testing.assert_array_equal(p.v, (1 - ad.BETA2) * p.grad * p.grad)

@@ -62,8 +62,9 @@ def test_missing_files_exit_2(workspace, tmp_path, capsys):
 def test_malformed_ply_exits_2(workspace, tmp_path, capsys):
     # a binary PLY cut short of its vertex count, an ASCII PLY with a
     # non-numeric value, a vertex property named twice (binary or ASCII), a
-    # colour that is not an integer and a position that is not finite are
-    # data errors for every command that reads one
+    # colour that is not an integer and a position that is not finite or
+    # beyond the coordinate range are data errors for every command that
+    # reads one
     raw = (workspace / "data" / "cloud.ply").read_bytes()
     cut = tmp_path / "cut.ply"
     cut.write_bytes(raw[:len(raw) // 2])
@@ -78,7 +79,8 @@ def test_malformed_ply_exits_2(workspace, tmp_path, capsys):
              + ["1 2 3 4 5 6 7"],
              "fractional": header + ["1 2 3 4.7 5 6"],
              "nan": header + ["nan 2 3 4 5 6"],
-             "inf": header + ["inf 2 3 4 5 6"]}
+             "inf": header + ["inf 2 3 4 5 6"],
+             "far": header + ["3000000 2 3 4 5 6"]}
     for name, lines in texts.items():
         (tmp_path / f"{name}.ply").write_text("\n".join(lines) + "\n")
     bitstream = _encode_workspace_cloud(workspace, tmp_path)
@@ -89,7 +91,8 @@ def test_malformed_ply_exits_2(workspace, tmp_path, capsys):
                        (tmp_path / "repeated_text.ply", "MalformedHeader"),
                        (tmp_path / "fractional.ply", "SymbolOutOfRange"),
                        (tmp_path / "nan.ply", "OutOfRange"),
-                       (tmp_path / "inf.ply", "OutOfRange")):
+                       (tmp_path / "inf.ply", "OutOfRange"),
+                       (tmp_path / "far.ply", "OutOfRange")):
         for command in (["encode", str(ply), "--model", model,
                          "--out", str(tmp_path / "x.bin")],
                         ["decode", str(ply), str(bitstream), "--model", model,

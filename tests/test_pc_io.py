@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,24 @@ def test_non_finite_position_raises_out_of_range(tmp_path, value):
         pc_io.voxelize(pc, 10)
     with pytest.raises(OutOfRange):
         pc_io.load_blocks(path)
+
+
+@pytest.mark.parametrize("value", ["3000000", "1e30"])
+def test_position_beyond_coordinate_range_raises_out_of_range(tmp_path,
+                                                             value):
+    # load_blocks derives a bit depth above COORD_BITS for these points and
+    # rejects it before the int64 cast, which 1e30 would overflow (a
+    # RuntimeWarning, an error here)
+    path = tmp_path / "cloud.ply"
+    path.write_text("\n".join([
+        "ply", "format ascii 1.0", "element vertex 2",
+        "property float x", "property float y", "property float z",
+        "property uchar red", "property uchar green", "property uchar blue",
+        "end_header", "0 0 0 4 5 6", f"{value} 0 0 4 5 6"]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange, match="bit depth"):
+            pc_io.load_blocks(path)
 
 
 def test_binary_nan_position_raises_out_of_range(tmp_path):

@@ -171,13 +171,25 @@ def test_max_pool_matches_dense_oracle():
         pyr = build_pyramid(coords, 1)
         maps = KernelMapCache(pyr)
         x = rng.normal(size=(len(pyr.coords[0]), 3))
-        out = max_pool2(ad.Node(x), maps.pool_children(1))
-        table = {tuple(c): f for c, f in zip(pyr.coords[0], x)}
+        if trial % 2:  # ties between children
+            x = np.round(x)
+        node = ad.Node(x)
+        out = max_pool2(node, maps.pool_children(1))
+        g = rng.normal(size=out.value.shape)
+        ad.backward(ad.sum_all(ad.mul(out, ad.Node(g))))
+        # the gradient goes to the first child (kernel_offsets order) that
+        # holds the maximum, per channel; every other row gets none
+        expect = np.zeros_like(x)
+        row = {tuple(c): i for i, c in enumerate(pyr.coords[0])}
         for j, parent in enumerate(pyr.coords[1]):
-            kids = [table[tuple(parent + np.array(o))]
-                    for o in kernel_offsets(2) if tuple(parent + np.array(o)) in table]
+            kids = [row[tuple(parent + np.array(o))]
+                    for o in kernel_offsets(2) if tuple(parent + np.array(o)) in row]
             np.testing.assert_allclose(out.value[j],
-                                       np.max(np.stack(kids), axis=0), atol=1e-12)
+                                       np.max(x[kids], axis=0), atol=1e-12)
+            for ch in range(x.shape[1]):
+                first = kids[int(np.argmax(x[kids, ch] == x[kids, ch].max()))]
+                expect[first, ch] = g[j, ch]
+        np.testing.assert_array_equal(node.grad, expect)
 
 
 def test_transpose_conv_matches_dense_oracle():

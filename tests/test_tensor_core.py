@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcac.errors import DuplicateCoordinate, EmptyGeometry, ShapeMismatch, StrideViolation
-from pcac.tensor_core import (CoordIndex, build_pyramid, build_sparse_tensor,
-                              downsample_coords, pack_coords, sort_coords)
+from pcac.errors import (DuplicateCoordinate, EmptyGeometry, OutOfRange,
+                         ShapeMismatch)
+from pcac.tensor_core import (COORD_BITS, CoordIndex, build_pyramid,
+                              build_sparse_tensor, downsample_coords,
+                              pack_coords, sort_coords)
 
 coord_lists = st.lists(
     st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000),
@@ -21,6 +23,34 @@ def test_pack_coords_is_lexicographic():
     by_key = np.argsort(keys, kind="stable")
     by_tuple = sorted(range(len(coords)), key=lambda i: tuple(coords[i]))
     assert list(by_key) == by_tuple
+
+
+def test_pack_coords_range_edges():
+    # each component lies in [-2^20, 2^20): the edges order correctly, one
+    # step past either edge raises instead of wrapping into a wrong order
+    lo, hi = -(1 << COORD_BITS), (1 << COORD_BITS) - 1
+    assert COORD_BITS == 20
+    edges = np.array([[hi, hi, hi], [0, 0, 0], [lo, lo, lo], [0, hi, lo],
+                      [0, lo, hi]])
+    assert sort_coords(edges).tolist() == [2, 4, 1, 3, 0]
+    for axis in range(3):
+        for value in (hi + 1, lo - 1):
+            bad = np.zeros((2, 3), dtype=np.int64)
+            bad[0, axis] = value
+            with pytest.raises(OutOfRange):
+                pack_coords(bad)
+    with pytest.raises(OutOfRange):
+        sort_coords(np.array([[1 << COORD_BITS, 0, 0], [0, 0, 0]]))
+
+
+def test_coord_index_misses_out_of_range_queries():
+    # a kernel offset can step past the edge; such a query is a miss
+    hi = (1 << COORD_BITS) - 1
+    coords = np.array([[0, 0, 0], [0, 1, 0], [hi, 0, 0]])
+    idx = CoordIndex(coords)
+    got = idx.lookup(np.array([[hi + 1, 0, 0], [0, 0, 1 << 21], [hi, 0, 0],
+                               [-1 - hi, 0, 0], [0, 1, 0]]))
+    assert list(got) == [-1, -1, 2, -1, 1]
 
 
 @given(coord_lists)
@@ -48,10 +78,6 @@ def test_build_sparse_tensor_sorts_and_validates():
 
     with pytest.raises(DuplicateCoordinate):
         build_sparse_tensor([[1, 1, 1], [1, 1, 1]], [[0.0], [0.0]])
-    with pytest.raises(StrideViolation):
-        build_sparse_tensor([[1, 0, 0]], [[0.0]], stride=2)
-    with pytest.raises(StrideViolation):
-        build_sparse_tensor([[2, 0, 0]], [[0.0]], stride=3)
     with pytest.raises(ShapeMismatch):
         build_sparse_tensor([[0, 0, 0]], [[0.0], [1.0]])
 

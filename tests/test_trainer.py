@@ -82,7 +82,7 @@ def test_single_block_training_reuses_validation_pass(monkeypatch):
         for p in params:
             p.grad = None
         ad.backward(codec.block_loss(model, maps, rgb)[0])
-        ad.adam_step(params, cfg.adam(), epoch)
+        ad.adam_step(params, cfg.lr_at(epoch))
         model.mark_dirty()
         loss, const = codec.block_loss(model, maps, rgb)
         val_bpp.append((float(loss.value) + const) / len(rgb))
