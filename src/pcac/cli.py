@@ -130,7 +130,7 @@ def _cmd_evaluate(args):
 
 
 def _cmd_self_check(args):
-    """Fast invariant sweep: round trips, coder optimality, pmf normalization."""
+    """Fast invariant sweep: round trips and the coder's CDF rows."""
     from . import likelihood as lh
     from . import range_coder as rc
     rng = np.random.default_rng(args.seed)
@@ -146,11 +146,11 @@ def _cmd_self_check(args):
         data = rc.encode_with_cdfs(syms, np.asarray(cdf))
         back = rc.decode_with_cdfs(data, np.asarray(cdf), len(syms))
         checks.append(("range coder round trip", np.array_equal(syms, back)))
-    # pmf normalization
-    pmf = lh.dlm_pmf(rng.normal(size=(50, 10)), rng.normal(size=(50, 10)),
-                     rng.normal(size=(50, 10)), lh.RGB_GRID)
-    checks.append(("dlm pmf normalization",
-                   bool(np.all(np.abs(pmf.sum(-1) - 1) < 1e-9))))
+    # the coder's CDF rule: rows run from 0 to TOTAL and strictly increase
+    rows = lh.pointwise_cdf(*lh.mixture_terms(*rng.normal(size=(3, 50, 10))),
+                            lh.RGB_GRID, np.arange(lh.RGB_GRID.num_symbols + 1))
+    ok = (rows[:, [0, -1]] == [0, rc.TOTAL]).all() and np.diff(rows).min() > 0
+    checks.append(("pointwise cdf rows", bool(ok)))
     # codec round trip on a small random block
     coords = np.unique(rng.integers(0, 16, size=(200, 3)), axis=0)
     rgb = rng.integers(0, 256, size=(len(coords), 3))

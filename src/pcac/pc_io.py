@@ -146,9 +146,6 @@ def load_blocks(path):
         raise OutOfRange(f"{path} holds a non-finite position")
     depth = max(1, int(np.ceil(np.log2(
         max(2.0, float(pc.positions.max()) + 1)))))
-    if depth > COORD_BITS:
-        raise OutOfRange(f"{path} needs a bit depth of {depth}; at most "
-                         f"{COORD_BITS} is supported")
     return partition_blocks(voxelize(pc, depth))
 
 
@@ -184,6 +181,9 @@ def _round_half_away(x):
 
 def voxelize(pc: PointCloud, bit_depth: int) -> SparseTensor:
     """Floor positions to the integer grid; merge duplicates by color mean."""
+    if bit_depth > COORD_BITS:
+        raise OutOfRange(f"a bit depth of {bit_depth} is above the supported "
+                         f"{COORD_BITS}")
     pos = np.asarray(pc.positions, dtype=np.float64)
     # written so that NaN, which fails every comparison, is outside too
     if not np.all((pos >= 0) & (pos < (1 << bit_depth))):

@@ -1,9 +1,9 @@
 """Sparse-tensor network layers and the per-scale encoder/decoder stacks.
 
 A layer never invents coordinates: every operation maps features between
-coordinate sets taken from the geometry pyramid, so the decoder (which knows
-the geometry) can replay the exact same computation.
-"""
+coordinate sets of the geometry pyramid, on kernel maps looked up in the
+pyramid's own level indexes, so the decoder (which knows the geometry) can
+replay the exact same computation."""
 
 from __future__ import annotations
 
@@ -27,21 +27,24 @@ def kernel_offsets(kernel_size: int):
     return [(dx, dy, dz) for dx in axis for dy in axis for dz in axis]
 
 
-def build_kernel_map(in_coords, out_coords, kernel_size: int, dilation: int):
-    """Per-offset (input_row, output_row) pair lists.
-
-    A pair (i, j) exists for offset o exactly when
-    in_coords[i] == out_coords[j] + o * dilation.
-    """
-    in_index = CoordIndex(np.asarray(in_coords, dtype=np.int64))
+def _neighbours(index: CoordIndex, out_coords, offsets, dilation: int):
+    """(n_out, K) table, stored column by column: the row of `index` holding
+    out_coords[j] + offsets[k] * dilation, or -1 where it is absent."""
     out_coords = np.asarray(out_coords, dtype=np.int64)
-    pairs = []
-    for off in kernel_offsets(kernel_size):
-        shifted = out_coords + np.asarray(off, dtype=np.int64) * dilation
-        rows_in = in_index.lookup(shifted)
-        hit = rows_in >= 0
-        pairs.append((rows_in[hit], np.nonzero(hit)[0]))
-    return pairs
+    return np.stack([index.lookup(out_coords + np.multiply(off, dilation))
+                     for off in offsets]).T
+
+
+def _pairs(table):
+    """Per-column (input_row, output_row) pair lists of a neighbour table."""
+    return [(col[col >= 0], np.flatnonzero(col >= 0)) for col in table.T]
+
+
+def build_kernel_map(in_coords, out_coords, kernel_size: int, dilation: int):
+    """Per-offset (input_row, output_row) pair lists: a pair (i, j) exists
+    for offset o exactly when in_coords[i] == out_coords[j] + o * dilation."""
+    return _pairs(_neighbours(CoordIndex(in_coords), out_coords,
+                              kernel_offsets(kernel_size), dilation))
 
 
 class FusedKernelMap:
@@ -73,7 +76,11 @@ class FusedKernelMap:
 
 
 class KernelMapCache:
-    """Geometry-derived kernel maps for one pyramid, built lazily."""
+    """Geometry-derived kernel maps for one pyramid, built lazily. Each is
+    read off a neighbour table looked up in the pyramid's level indexes, and
+    no relation is looked up twice: a self map looks up offsets 0..12, as
+    offset 26 - o is -o (offset o with its rows swapped), and the up map is
+    the pooling child table read from parent to child."""
 
     def __init__(self, pyramid: ScalePyramid):
         self.pyramid = pyramid
@@ -84,35 +91,37 @@ class KernelMapCache:
         key = ("self", level)
         if key not in self._maps:
             c = self.pyramid.coords[level]
-            pairs = build_kernel_map(c, c, 3, self.pyramid.stride(level))
-            self._maps[key] = FusedKernelMap(pairs, len(c), len(c))
+            table = np.full((27, len(c)), -1, dtype=np.int64).T  # by column
+            table[:, :13] = _neighbours(self.pyramid.indexes[level], c,
+                                        kernel_offsets(3)[:13],
+                                        self.pyramid.stride(level))
+            table[:, 13] = np.arange(len(c))
+            for o in range(13):  # c[i] == c[j] + o*s  <=>  c[j] == c[i] - o*s
+                rows = np.flatnonzero(table[:, o] >= 0)
+                table[table[rows, o], 26 - o] = rows
+            self._maps[key] = FusedKernelMap(_pairs(table), len(c), len(c))
         return self._maps[key]
 
     def up_map(self, level: int) -> FusedKernelMap:
         """Transpose-conv map from `level` down to `level - 1` (k=2)."""
         key = ("up", level)
         if key not in self._maps:
-            fine = self.pyramid.coords[level - 1]
-            coarse = self.pyramid.coords[level]
-            # pairs at offset o satisfy fine == coarse + o * fine_stride;
-            # flipped here so features flow coarse -> fine
-            pairs = [(b, a) for a, b in build_kernel_map(
-                fine, coarse, 2, self.pyramid.stride(level - 1))]
-            self._maps[key] = FusedKernelMap(pairs, len(coarse), len(fine))
+            children = self._children(level)
+            pairs = [(b, a) for a, b in _pairs(children)]  # coarse -> fine
+            self._maps[key] = FusedKernelMap(
+                pairs, len(children), len(self.pyramid.coords[level - 1]))
         return self._maps[key]
 
     def pool_children(self, level: int):
         """Child-row table (n_parents, 8) for 2x pooling into `level`; -1 = absent."""
-        key = ("pool", level)
+        return self._children(level)
+
+    def _children(self, level: int):  # shared by pool_children and up_map
+        key = ("children", level)
         if key not in self._maps:
-            parents = self.pyramid.coords[level]
-            s = self.pyramid.stride(level - 1)
-            idx = np.empty((len(parents), 8), dtype=np.int64)
-            fine_index = self.pyramid.indexes[level - 1]
-            for oi, off in enumerate(kernel_offsets(2)):
-                idx[:, oi] = fine_index.lookup(
-                    parents + np.asarray(off, dtype=np.int64) * s)
-            self._maps[key] = idx
+            self._maps[key] = _neighbours(
+                self.pyramid.indexes[level - 1], self.pyramid.coords[level],
+                kernel_offsets(2), self.pyramid.stride(level - 1))
         return self._maps[key]
 
 
@@ -124,7 +133,6 @@ class SparseConv:
                  weight_scale: float = 1.0):
         self.c_in = c_in
         self.c_out = c_out
-        self.kernel_size = kernel_size
         n_off = len(kernel_offsets(kernel_size))
         limit = weight_scale * np.sqrt(6.0 / (c_in * n_off))
         self.weight = Parameter(rng.uniform(-limit, limit,

@@ -54,11 +54,7 @@ class CoordIndex:
     """
 
     def __init__(self, sorted_coords: np.ndarray):
-        self.coords = np.asarray(sorted_coords, dtype=np.int64)
-        self.keys = pack_coords(self.coords)
-
-    def __len__(self):
-        return len(self.keys)
+        self.keys = pack_coords(sorted_coords)
 
     def lookup(self, coords: np.ndarray) -> np.ndarray:
         """Row indices of `coords` (or -1 where absent)."""
@@ -124,14 +120,10 @@ def downsample_coords(coords: np.ndarray, stride: int) -> np.ndarray:
 
 @dataclass
 class ScalePyramid:
-    """Coordinate sets for levels 0..num_levels, derived from geometry alone."""
+    """Per-level coordinate sets and their indexes, from geometry alone."""
 
     coords: list  # coords[n]: (N_n, 3) sorted, at stride 2**n
     indexes: list  # CoordIndex per level
-
-    @property
-    def num_levels(self):
-        return len(self.coords) - 1
 
     def stride(self, level: int) -> int:
         return 1 << level

@@ -194,6 +194,7 @@ def test_self_check(capsys):
     assert cli.main(["self-check", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "ok: codec round trip" in out
+    assert "ok: pointwise cdf rows" in out
     assert "FAIL" not in out
 
 

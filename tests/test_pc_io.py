@@ -166,6 +166,16 @@ def test_position_beyond_coordinate_range_raises_out_of_range(tmp_path,
             pc_io.load_blocks(path)
 
 
+def test_bit_depth_beyond_coordinate_range_raises_out_of_range():
+    # voxelize rejects the bit depth itself, before the int64 cast that
+    # 1e30 would overflow (a RuntimeWarning, an error here)
+    pc = pc_io.PointCloud(np.array([[1e30, 0, 0]]), np.zeros((1, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange, match="bit depth"):
+            pc_io.voxelize(pc, 110)
+
+
 def test_binary_nan_position_raises_out_of_range(tmp_path):
     path = tmp_path / "cloud.ply"
     positions = np.array([[1.0, 1.0, 1.0], [np.nan, 0.0, 0.0]])

@@ -7,7 +7,7 @@ from pcac.sparse_nn import (FusedKernelMap, KernelMapCache, ModelConfig,
                             ResidualBlock, ScaleDecoder, ScaleEncoder,
                             SparseConv, build_kernel_map, kernel_offsets,
                             max_pool2)
-from pcac.tensor_core import build_pyramid, sort_coords
+from pcac.tensor_core import COORD_BITS, build_pyramid, sort_coords
 
 
 def random_pattern(rng, extent=8, lo=4, hi=40):
@@ -44,6 +44,42 @@ def test_kernel_map_pair_counts():
     far = np.array([[0, 0, 0], [10, 10, 10]])
     pairs = build_kernel_map(far, far, 3, 1)
     assert sum(len(a) for a, _ in pairs) == 2
+
+
+def assert_same_map(got, expect):
+    assert (got.n_in, got.n_out) == (expect.n_in, expect.n_out)
+    assert got.offset_slices == expect.offset_slices
+    np.testing.assert_array_equal(got.rows_in, expect.rows_in)
+    np.testing.assert_array_equal(got.rows_out, expect.rows_out)
+
+
+def test_cached_maps_equal_direct_lookups():
+    # self maps fill offsets 14..26 by transposing 0..12 and up maps reuse
+    # the pooling table; both must equal a lookup of every offset. Negative
+    # coordinates, and x up to 2^20 - 1 where +x offsets step past the edge.
+    rng = np.random.default_rng(10)
+    edge = (1 << COORD_BITS) - 1
+    for trial in range(12):
+        n = int(rng.integers(1, 400))
+        coords = rng.integers(-40, 40, size=(n, 3))
+        coords[: n // 3, 0] = edge - rng.integers(0, 5, n // 3)
+        pyr = build_pyramid(np.unique(coords, axis=0), 3)
+        maps = KernelMapCache(pyr)
+        for level, c in enumerate(pyr.coords):
+            expect = FusedKernelMap(
+                build_kernel_map(c, c, 3, pyr.stride(level)), len(c), len(c))
+            assert_same_map(maps.self_map(level), expect)
+        for level in range(1, len(pyr.coords)):
+            fine, coarse = pyr.coords[level - 1], pyr.coords[level]
+            s = pyr.stride(level - 1)
+            flipped = [(b, a) for a, b in build_kernel_map(fine, coarse, 2, s)]
+            assert_same_map(maps.up_map(level),
+                            FusedKernelMap(flipped, len(coarse), len(fine)))
+            index = pyr.indexes[level - 1]
+            children = [index.lookup(coarse + np.multiply(o, s))
+                        for o in kernel_offsets(2)]
+            np.testing.assert_array_equal(maps.pool_children(level),
+                                          np.stack(children, axis=1))
 
 
 def test_sparse_conv_identity_kernel():
