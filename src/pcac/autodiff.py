@@ -1,8 +1,11 @@
-"""Minimal reverse-mode autodiff over float64 matrices, plus Adam.
+"""Minimal reverse-mode autodiff over float matrices, plus Adam.
 
 Nodes form a DAG; backward walks nodes in reverse construction order, which
-fixes the reduction order and makes gradients bit-reproducible. Everything is
-64-bit; no broadcasting beyond what each primitive states.
+fixes the reduction order and makes gradients bit-reproducible. A node holds
+a float32 value as float32 and any other value as float64 (`as_float`):
+training graphs are float64 throughout, as their inputs and parameters are,
+and the coder runs the same graphs in float32 without calling backward. No
+broadcasting beyond what each primitive states.
 
 Adam's moment decays and epsilon are the constants `BETA1`, `BETA2` and
 `EPS`; the caller passes the learning rate of each step (the trainer's
@@ -20,6 +23,15 @@ from .errors import NonScalarLoss, ShapeMismatch
 _ids = itertools.count()
 
 
+def as_float(value):
+    """`value` as an array: float32 stays float32, anything else becomes
+    float64 (a float64 array is returned as it is, not copied)."""
+    value = np.asarray(value)
+    if value.dtype == np.float32:
+        return value
+    return value.astype(np.float64, copy=False)
+
+
 class Node:
     """One value in the computation graph.
 
@@ -30,7 +42,7 @@ class Node:
     __slots__ = ("value", "parents", "backward_fn", "grad", "nid")
 
     def __init__(self, value, parents=(), backward_fn=None):
-        self.value = np.asarray(value, dtype=np.float64)
+        self.value = as_float(value)
         self.parents = tuple(parents)
         self.backward_fn = backward_fn
         self.grad = None

@@ -146,9 +146,11 @@ def _cmd_self_check(args):
         data = rc.encode_with_cdfs(syms, np.asarray(cdf))
         back = rc.decode_with_cdfs(data, np.asarray(cdf), len(syms))
         checks.append(("range coder round trip", np.array_equal(syms, back)))
-    # the coder's CDF rule: rows run from 0 to TOTAL and strictly increase
-    rows = lh.pointwise_cdf(*lh.mixture_terms(*rng.normal(size=(3, 50, 10))),
-                            lh.RGB_GRID, np.arange(lh.RGB_GRID.num_symbols + 1))
+    # the coder's CDF rule, in the coder's dtype: rows run from 0 to TOTAL
+    # and strictly increase
+    mixtures = rng.normal(size=(3, 50, 10)).astype(codec.CODING_DTYPE)
+    rows = lh.pointwise_cdf(*lh.mixture_terms(*mixtures), lh.RGB_GRID,
+                            np.arange(lh.RGB_GRID.num_symbols + 1))
     ok = (rows[:, [0, -1]] == [0, rc.TOTAL]).all() and np.diff(rows).min() > 0
     checks.append(("pointwise cdf rows", bool(ok)))
     # codec round trip on a small random block

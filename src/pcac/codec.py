@@ -12,6 +12,12 @@ with the mixture of each coding pass: code the known symbols' spans, read
 symbols against full integer CDF rows or estimate them from those rows when
 their chunk is missing from the stream, or sum the spans' information
 content.
+
+Coding runs the encoder and decoder stacks and the mixture CDFs in
+`CODING_DTYPE` (float32); training and `estimate_bits` run the same stacks
+in float64. The coder's output is integer CDFs, so float32 costs no rate,
+but a float32 stream decodes only where the decoder's float32 results are
+bit for bit the encoder's: a mismatch fails the span CRC as a DesyncError.
 """
 
 from __future__ import annotations
@@ -37,7 +43,9 @@ from .tensor_core import build_pyramid, sort_coords
 
 MAGIC = b"MNET"
 FILE_MAGIC = b"MNEF"
-VERSION = 4
+VERSION = 5
+# the float dtype of coding: the conv stacks and the mixture CDFs
+CODING_DTYPE = np.float32
 
 
 class CodecModel:
@@ -226,9 +234,11 @@ def _normalize_rgb(rgb):
     return np.asarray(rgb, dtype=np.float64) / 127.5 - 1.0
 
 
-def run_encoders(model: CodecModel, rgb, maps: KernelMapCache):
-    """Bottom-up pass; returns the latent preactivation node per scale."""
-    x = ad.constant(_normalize_rgb(rgb))
+def run_encoders(model: CodecModel, rgb, maps: KernelMapCache,
+                 dtype=np.float64):
+    """Bottom-up pass in `dtype`; returns the latent preactivation node per
+    scale."""
+    x = ad.constant(_normalize_rgb(rgb).astype(dtype, copy=False))
     latents = []
     for enc in model.encoders:
         latent_pre, x = enc(x, maps)
@@ -256,7 +266,7 @@ def _analyze(model: CodecModel, geometry, rgb_features):
     symbols, and an iterator over the symbols of every `_top_down` pass."""
     maps, rgb = prepare_block(geometry, rgb_features, model.config.num_scales)
     symbols = [quantize_hard(node.value, model.latent_grid)[0]
-               for node in run_encoders(model, rgb, maps)]
+               for node in run_encoders(model, rgb, maps, CODING_DTYPE)]
     passes = [s.reshape(-1) for s in symbols[-2::-1]] + list(rgb.T)
     return maps, symbols[-1], iter(passes)
 
@@ -396,12 +406,13 @@ def _top_down(model: CodecModel, maps: KernelMapCache, symbols, code_pass):
     """The top-down pass of every coding entry point.
 
     `symbols` are the top-scale latent symbols. From the top scale down,
-    each decoder runs on the dequantized symbols of the level above and
-    predicts the next level, which is coded in passes: one per latent level
-    (rows point-major, channel-minor), three for RGB (R, G given R, B given
-    R and G). code_pass(chunk, grid, params) gets the pass's chunk index,
-    symbol grid and mixture (weight logits, means, log-scales, each
-    (points, ..., K)), and returns its symbols. Returns the RGB symbols.
+    each decoder runs in CODING_DTYPE on the dequantized symbols of the
+    level above and predicts the next level, which is coded in passes: one
+    per latent level (rows point-major, channel-minor), three for RGB (R, G
+    given R, B given R and G). code_pass(chunk, grid, params) gets the
+    pass's chunk index, symbol grid and mixture (weight logits, means,
+    log-scales, each (points, ..., K)), and returns its symbols. Returns the
+    RGB symbols.
     """
     cfg = model.config
     forwarded = None
@@ -409,7 +420,8 @@ def _top_down(model: CodecModel, maps: KernelMapCache, symbols, code_pass):
         # only values cross a scale boundary, so no decoder's autodiff graph
         # outlives its scale
         p, forwarded = (node.value for node in model.decoders[n - 1](
-            ad.constant(dequantize(symbols, model.latent_grid)),
+            ad.constant(dequantize(symbols, model.latent_grid).astype(
+                CODING_DTYPE)),
             None if forwarded is None else ad.constant(forwarded), maps))
         if n > 1:
             symbols = code_pass(cfg.num_scales + 1 - n, model.latent_grid,

@@ -17,6 +17,15 @@ the estimates of a scalable decode the same integers, and `dlm_pmf` is the
 difference of F at the bin edges. For training, `latent_bits_node` and
 `rgb_bits_node` each make one autodiff node of the total -log2 p of the
 coded symbols, whose backward is the analytic gradient of that likelihood.
+
+Precision follows the head output (`autodiff.as_float`): `mixture_terms`,
+`unpack_*_params`, `rgb_channel_params`, `mixture_cdf` and `pointwise_cdf`
+keep float32 parameters in float32, as the coder passes them, and compute
+anything else in float64, as training does. The grid values they mix in
+(the CDF edges and the RGB centers behind the green and blue mean shifts)
+are cast to the parameters' dtype, so no step promotes float32 back to
+float64. `pointwise_cdf` scales F in float64, where F * (2**16 - M) is exact
+for a float32 F.
 """
 
 from __future__ import annotations
@@ -59,10 +68,9 @@ def _softmax(logits):
 def mixture_terms(weight_logits, means, log_scales):
     """Mixture weights (softmax of the logits), means and scales
     exp(max(log_scale, LOG_SCALE_MIN)), each (..., K)."""
-    w = _softmax(np.asarray(weight_logits, dtype=np.float64))
-    mu = np.asarray(means, dtype=np.float64)
-    s = np.exp(np.maximum(np.asarray(log_scales, dtype=np.float64),
-                          LOG_SCALE_MIN))
+    w = _softmax(ad.as_float(weight_logits))
+    mu = ad.as_float(means)
+    s = np.exp(np.maximum(ad.as_float(log_scales), LOG_SCALE_MIN))
     return w, mu, s
 
 
@@ -88,9 +96,10 @@ def _k_first(a):  # (..., K) -> (K, ..., 1)
 
 def _half_logits(mu, s, edges):
     """(e - mu_k) * (0.5 / s_k) of every component at `edges`: (K, ..., E)
-    for `mu`, `s` (..., K) and `edges` (..., E). The sigmoid of a
-    component's logit is 0.5 * (tanh of this + 1)."""
-    t = np.subtract(edges, _k_first(mu))
+    for `mu`, `s` (..., K) and `edges` (..., E), the edges cast to the dtype
+    of `mu`. The sigmoid of a component's logit is 0.5 * (tanh of this + 1).
+    """
+    t = np.subtract(np.asarray(edges, dtype=mu.dtype), _k_first(mu))
     np.multiply(t, _k_first(0.5 / s), out=t)
     return t
 
@@ -120,14 +129,16 @@ def pointwise_cdf(w, mu, s, grid: SymbolGrid, edge_index):
     """The coder's integer CDF at edge indices `edge_index` (..., E) in 0..M.
 
     cdf(m) = floor(F(e_m) * (TOTAL - M)) + m, with TOTAL = 2**16 the range
-    coder's total and F from `mixture_cdf`, fixed at 0 for m = 0 and at 1
-    for m = M. The rule needs no table: a symbol's span takes F at its own
-    two edges only. As F is monotone, every symbol gets a width of at least
-    1, and a row runs from 0 to TOTAL.
+    coder's total and F from `mixture_cdf` in the dtype of the mixture,
+    fixed at 0 for m = 0 and at 1 for m = M. The product is taken in
+    float64, where it is exact for a float32 F. The rule needs no table: a
+    symbol's span takes F at its own two edges only. As F is monotone, every
+    symbol gets a width of at least 1, and a row runs from 0 to TOTAL.
     """
     M = grid.num_symbols
     m = np.asarray(edge_index, dtype=np.int64)
-    cdf = mixture_cdf(w, mu, s, grid.cdf_edges[m])
+    cdf = mixture_cdf(w, mu, s, grid.cdf_edges[m]).astype(np.float64,
+                                                           copy=False)
     np.copyto(cdf, 0.0, where=m == 0)
     np.copyto(cdf, 1.0, where=m == M)
     if not np.all(np.isfinite(cdf)):
@@ -141,7 +152,7 @@ def pointwise_cdf(w, mu, s, grid: SymbolGrid, edge_index):
 
 def unpack_latent_params(params, num_channels: int, num_mixtures: int):
     """(N, C*3K) raw head output -> weight logits, means, log scales (N, C, K)."""
-    params = np.asarray(params, dtype=np.float64)
+    params = ad.as_float(params)
     n = params.shape[0]
     k = num_mixtures
     expect = num_channels * 3 * k
@@ -159,7 +170,7 @@ def latent_pmfs(params, num_channels: int, num_mixtures: int, grid: SymbolGrid):
 
 def unpack_rgb_params(params, num_mixtures: int):
     """(N, 12K) raw head output -> dict of (N, K) arrays (tanh on the c's)."""
-    params = np.asarray(params, dtype=np.float64)
+    params = ad.as_float(params)
     n = params.shape[0]
     if params.shape[1] != 12 * num_mixtures:
         raise ShapeMismatch(
@@ -177,16 +188,18 @@ def unpack_rgb_params(params, num_mixtures: int):
 
 def rgb_channel_params(unpacked, channel: str, x_r=None, x_g=None):
     """(weight logits, means, log scales) of one RGB channel, each (N, K);
-    green/blue means shift with the decoded values x_r, x_g."""
+    green/blue means shift with the decoded values x_r, x_g, cast to the
+    dtype of the parameters."""
     u = unpacked
     if channel == "r":
         return u["w_r"], u["mu_r"], u["ls_r"]
+    dtype = u["mu_r"].dtype
     if channel == "g":
-        mu = u["mu_g"] + u["c_gr"] * np.asarray(x_r)[:, None]
+        mu = u["mu_g"] + u["c_gr"] * np.asarray(x_r, dtype=dtype)[:, None]
         return u["w_g"], mu, u["ls_g"]
     if channel == "b":
-        mu = (u["mu_b"] + u["c_br"] * np.asarray(x_r)[:, None]
-              + u["c_bg"] * np.asarray(x_g)[:, None])
+        mu = (u["mu_b"] + u["c_br"] * np.asarray(x_r, dtype=dtype)[:, None]
+              + u["c_bg"] * np.asarray(x_g, dtype=dtype)[:, None])
         return u["w_b"], mu, u["ls_b"]
     raise ValueError(channel)
 

@@ -1,8 +1,12 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import zlib
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -628,3 +632,43 @@ def test_block_loss_estimates_track_measured_rate(model):
     measured = 8 * len(codec.encode(coords, rgb, model))
     assert measured <= est * 1.01 + 8 * 256
     assert est <= measured  # coding overhead only adds bits
+
+
+# Encodes two parallel 40 x 40 planes (3200 points) with a hidden-64 model,
+# decodes the stream given on stdin (if any) and checks it is lossless, and
+# writes its own stream to stdout. Its GEMMs gather thousands of rows by 64
+# channels, far above the size at which OpenBLAS splits a GEMM over threads.
+_PLANES_CODER = """
+import sys
+import numpy as np
+from pcac import codec
+from pcac.sparse_nn import ModelConfig
+from pcac.tensor_core import sort_coords
+grid = np.stack(np.meshgrid(np.arange(40), np.arange(40), indexing="ij"),
+                axis=-1).reshape(-1, 2)
+coords = np.concatenate([np.c_[grid, np.full(len(grid), z)] for z in (3, 9)])
+rgb = (128 + 100 * np.sin(coords / 7.0)).astype(np.int64)
+model = codec.CodecModel(ModelConfig(hidden=64, res_blocks=2), seed=0)
+other = sys.stdin.buffer.read()
+if other:
+    back = codec.decode(coords, other, model)
+    assert np.array_equal(back, rgb[sort_coords(coords)])
+sys.stdout.buffer.write(codec.encode(coords, rgb, model))
+"""
+
+
+def test_stream_does_not_depend_on_blas_threads():
+    # float32 streams decode only where the float32 results agree; the BLAS
+    # thread count must not change them. The second process decodes the
+    # first one's stream.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    streams = [b""]
+    for threads in (1, min(2, os.cpu_count() or 1)):
+        env = dict(os.environ, PYTHONPATH=src,
+                   OPENBLAS_NUM_THREADS=str(threads),
+                   OMP_NUM_THREADS=str(threads))
+        streams.append(subprocess.run(
+            [sys.executable, "-c", _PLANES_CODER], input=streams[-1],
+            env=env, check=True, capture_output=True, timeout=60).stdout)
+    assert len(streams[1]) > 0
+    assert streams[1] == streams[2]

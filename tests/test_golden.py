@@ -3,6 +3,11 @@
 Any change to what the codec computes (numerics, chunk layout, rng draw
 order) fails here. Such a change must bump `codec.VERSION` and regenerate
 the fixture with `PYTHONPATH=src python tests/test_golden.py`.
+
+Coding runs in float32, whose results can differ between numpy builds, BLAS
+kernels and CPU features. The fixture stores the fingerprint of the host it
+was recorded on, and a failure prints it next to this host's, so a
+cross-host float32 difference can be told apart from a code change.
 """
 
 import hashlib
@@ -18,6 +23,16 @@ from pcac.sparse_nn import ModelConfig
 FIXTURE = Path(__file__).parent / "data" / "golden.json"
 CFG = ModelConfig(hidden=8, res_blocks=1, mixtures=2)
 BLOCKS = ("small", "large")
+
+
+def host_fingerprint() -> dict:
+    """numpy version, BLAS name and version, and numpy's CPU features."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    simd = config["SIMD Extensions"]
+    return {"numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']}",
+            "cpu_features": simd["baseline"] + simd["found"]}
 
 
 def short_hash(data) -> str:
@@ -66,11 +81,12 @@ def model():
 def test_golden_parity(name, model):
     expected = json.loads(FIXTURE.read_text())
     assert codec.VERSION == expected["version"]
-    assert record(name, model) == expected[name]
+    assert record(name, model) == expected[name], (
+        f"recorded on {expected['host']}, this host is {host_fingerprint()}")
 
 
 if __name__ == "__main__":
-    golden = {"version": codec.VERSION}
+    golden = {"version": codec.VERSION, "host": host_fingerprint()}
     golden.update({name: record(name, codec.CodecModel(CFG, seed=3))
                    for name in BLOCKS})
     FIXTURE.parent.mkdir(exist_ok=True)

@@ -364,11 +364,12 @@ def random_mixture(rng, shape, k):
             rng.uniform(lh.LOG_SCALE_MIN - 5, 2, size=size))
 
 
-def test_tanh_bulk_equals_elementwise():
+def test_tanh_bulk_equals_elementwise(dtype=np.float64):
     # the one transcendental ufunc of the coder's CDF: bulk, strided,
     # odd-length and one-element calls give the same bits
     rng = np.random.default_rng(6)
-    x = np.concatenate([rng.normal(size=4001) * 4, rng.uniform(-40, 40, 999)])
+    x = np.concatenate([rng.normal(size=4001) * 4,
+                        rng.uniform(-40, 40, 999)]).astype(dtype)
     bulk = np.tanh(x)
     assert np.tanh(x[::3]).tobytes() == bulk[::3].tobytes()
     assert np.tanh(x[5:12]).tobytes() == bulk[5:12].tobytes()
@@ -378,18 +379,27 @@ def test_tanh_bulk_equals_elementwise():
     assert one.tobytes() == bulk.tobytes()
 
 
-@pytest.mark.parametrize("grid", [lh.RGB_GRID, lh.SymbolGrid(26)],
-                         ids=["rgb", "latent"])
-@pytest.mark.parametrize("k", [1, 4, 10])
-def test_mixture_cdf_is_pointwise(grid, k):
+def test_tanh_bulk_equals_elementwise_float32():
+    test_tanh_bulk_equals_elementwise(np.float32)
+
+
+GRIDS = pytest.mark.parametrize("grid", [lh.RGB_GRID, lh.SymbolGrid(26)],
+                                ids=["rgb", "latent"])
+MIXTURE_SIZES = pytest.mark.parametrize("k", [1, 4, 10])
+
+
+@GRIDS
+@MIXTURE_SIZES
+def test_mixture_cdf_is_pointwise(grid, k, dtype=np.float64):
     # F at a symbol's two edges, at one edge at a time and over whole rows
     # in bulk: the same bits, on contiguous, strided and odd-length inputs
     rng = np.random.default_rng(k + grid.num_symbols)
     M = grid.num_symbols
     n = 301
-    w, mu, s = lh.mixture_terms(*random_mixture(rng, (n,), k))
+    w, mu, s = lh.mixture_terms(*(a.astype(dtype)
+                                  for a in random_mixture(rng, (n,), k)))
     full = lh.mixture_cdf(w, mu, s, grid.cdf_edges)
-    assert full.shape == (n, M + 1)
+    assert full.shape == (n, M + 1) and full.dtype == dtype
     rows = np.arange(n)
     sym = rng.integers(0, M, size=n)
     two = lh.mixture_cdf(w, mu, s, grid.cdf_edges[np.stack([sym, sym + 1], -1)])
@@ -425,9 +435,14 @@ def test_mixture_cdf_matches_logistic_oracle():
                                rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("grid", [lh.RGB_GRID, lh.SymbolGrid(26)],
-                         ids=["rgb", "latent"])
-def test_pointwise_cdf_rows_are_valid(grid):
+@GRIDS
+@MIXTURE_SIZES
+def test_mixture_cdf_is_pointwise_float32(grid, k):
+    test_mixture_cdf_is_pointwise(grid, k, np.float32)
+
+
+@GRIDS
+def test_pointwise_cdf_rows_are_valid(grid, dtype=np.float64):
     # the rule floor(F(e_m) * (2^16 - M)) + m: rows run from 0 to 2^16 and
     # every symbol keeps a width of at least 1, for K = 1..10, scales below
     # the clamp and means up to +-1000
@@ -435,17 +450,20 @@ def test_pointwise_cdf_rows_are_valid(grid):
     M = grid.num_symbols
     edges = np.arange(M + 1)
     for k in range(1, 11):
-        w, mu, s = lh.mixture_terms(*random_mixture(rng, (200,), k))
+        raw = random_mixture(rng, (200,), k)
+        w, mu, s = lh.mixture_terms(*(a.astype(dtype) for a in raw))
         rows = lh.pointwise_cdf(w, mu, s, grid, edges)
         assert rows.dtype == np.int64 and rows.shape == (200, M + 1)
         assert np.all(rows[:, 0] == 0) and np.all(rows[:, M] == 1 << 16)
         assert np.diff(rows, axis=-1).min() >= 1
-        F = lh.mixture_cdf(w, mu, s, grid.cdf_edges)
+        # the product is exact in float64 for either dtype of F
+        F = lh.mixture_cdf(w, mu, s, grid.cdf_edges).astype(np.float64)
         interior = np.floor(F[:, 1:M] * ((1 << 16) - M)).astype(np.int64)
         np.testing.assert_array_equal(rows[:, 1:M], interior + edges[1:M])
-        # the rate the rule costs over the exact pmf: as small as that of
-        # the largest-remainder tables
-        p = lh.dlm_pmf(np.log(w), mu, np.log(s), grid)
+        # the rate the rule costs over the exact (float64) pmf of the same
+        # raw parameters: as small as that of the largest-remainder tables
+        p = lh.dlm_pmf(*(a.astype(dtype).astype(np.float64) for a in raw),
+                       grid)
 
         def kl(cdf):
             q = np.diff(cdf, axis=-1) / 65536.0
@@ -455,9 +473,41 @@ def test_pointwise_cdf_rows_are_valid(grid):
         assert kl(rows).mean() < kl(lh.build_cdf_table(p)).mean() + 1e-4
 
 
+@GRIDS
+def test_pointwise_cdf_rows_are_valid_float32(grid):
+    test_pointwise_cdf_rows_are_valid(grid, np.float32)
+
+
 def test_pointwise_cdf_rejects_non_finite_mixtures():
     w, mu, s = lh.mixture_terms(np.zeros((2, 2)), np.zeros((2, 2)),
                                 np.zeros((2, 2)))
     mu[1, 0] = np.nan
     with pytest.raises(DegeneratePmf):
         lh.pointwise_cdf(w, mu, s, lh.RGB_GRID, np.arange(257))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16, int],
+                         ids=["float64", "float32", "float16", "int"])
+def test_coding_steps_keep_float32(dtype):
+    # float32 parameters stay float32 through unpacking, the mixture and the
+    # RGB mean shifts, whose grid values would otherwise promote them to
+    # float64; anything else is computed in float64, as before
+    rng = np.random.default_rng(9)
+    want = np.float32 if dtype == np.float32 else np.float64
+    k, n = 3, 40
+    latent = lh.unpack_latent_params(
+        (rng.normal(size=(n, 2 * 3 * k)) * 2).astype(dtype), 2, k)
+    assert all(a.dtype == want for a in latent)
+    w, mu, s = lh.mixture_terms(*latent)
+    assert w.dtype == mu.dtype == s.dtype == want
+    assert lh.mixture_cdf(w, mu, s, lh.SymbolGrid(26).cdf_edges).dtype == want
+    u = lh.unpack_rgb_params((rng.normal(size=(n, 12 * k)) * 2).astype(dtype),
+                             k)
+    assert all(a.dtype == want for a in u.values())
+    x_r, x_g = (lh.RGB_GRID.centers[rng.integers(0, 256, n)] for _ in "rg")
+    for channel in "rgb":
+        terms = lh.mixture_terms(*lh.rgb_channel_params(u, channel, x_r, x_g))
+        assert all(a.dtype == want for a in terms)
+        rows = lh.pointwise_cdf(*terms, lh.RGB_GRID, np.arange(257))
+        assert rows.dtype == np.int64
+        assert np.diff(rows, axis=-1).min() >= 1

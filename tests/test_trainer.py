@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from pcac import autodiff as ad
-from pcac import codec, pc_io, trainer
+from pcac import codec, pc_io, sparse_nn, trainer
 from pcac.errors import EmptyDataset, SymbolOutOfRange
 from pcac.sparse_nn import ModelConfig
+from test_golden import CFG as GOLDEN_CFG
+from test_golden import block as golden_block
 
 CFG = ModelConfig(hidden=8, res_blocks=1, mixtures=2)
 
@@ -91,6 +93,39 @@ def test_single_block_training_reuses_validation_pass(monkeypatch):
     assert ckpt.metadata["val_bits_per_point"] == val_bpp[best]
     assert all(np.array_equal(p.value, w)
                for p, w in zip(ckpt.model.parameters(), weights[best]))
+
+
+def test_coding_runs_in_float32_and_training_is_unchanged(monkeypatch):
+    # coding's conv outputs are float32, block_loss's are float64, and one
+    # training epoch on the golden "small" block gives the weights it gave
+    # before coding moved to float32 (digest and loss recorded then)
+    dtypes = []
+    conv = sparse_nn.SparseConv.__call__
+
+    def spy(self, x, fmap):
+        out = conv(self, x, fmap)
+        dtypes.append(out.value.dtype)
+        return out
+
+    monkeypatch.setattr(sparse_nn.SparseConv, "__call__", spy)
+    coords, rgb = golden_block("small")
+    model = codec.CodecModel(GOLDEN_CFG, seed=3)
+    stream = codec.encode(coords, rgb, model)
+    assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+    dtypes.clear()
+    codec.decode(coords, stream, model)
+    assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+    dtypes.clear()
+    loss, _ = codec.block_loss(
+        model, *codec.prepare_block(coords, rgb, GOLDEN_CFG.num_scales))
+    assert loss.value.dtype == np.float64
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+
+    ckpt = trainer.train([(coords, rgb)], trainer.TrainConfig(max_epochs=1),
+                         model=model)
+    assert all(p.value.dtype == np.float64 for p in model.parameters())
+    assert ckpt.model.digest().hex() == "cd806910cac91f52"
+    assert ckpt.metadata["val_bits_per_point"] == 55.589506488719806
 
 
 def test_train_accepts_pc_io_blocks_and_rejects_empty():
