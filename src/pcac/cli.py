@@ -60,7 +60,7 @@ def _cmd_train(args):
                               batch_size=args.batch_size)
     log = print if args.verbose else None
     ckpt = trainer.train(blocks, cfg, log=log)
-    ckpt.save(args.out)
+    _atomic_output(args.out, ckpt.save)
     print(f"saved checkpoint to {args.out} "
           f"(best epoch {ckpt.metadata['epoch']}, "
           f"{ckpt.metadata['val_bits_per_point']:.2f} bits/point)")
@@ -117,12 +117,16 @@ def _cmd_evaluate(args):
     model = codec.ModelCheckpoint.load(_checkpoint_path(args.model)).model
     paths = sorted(Path(args.data_dir).glob("*.ply"))
     rows = trainer.evaluate(paths, model)
-    with open(args.csv, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["name", "points", "bpp", "enc_seconds"])
-        for r in rows:
-            w.writerow([r["name"], r["points"], f"{r['bpp']:.2f}",
-                        f"{r['enc_seconds']:.2f}"])
+
+    def write_csv(tmp):
+        with open(tmp, "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(["name", "points", "bpp", "enc_seconds"])
+            for r in rows:
+                w.writerow([r["name"], r["points"], f"{r['bpp']:.2f}",
+                            f"{r['enc_seconds']:.2f}"])
+
+    _atomic_output(args.csv, write_csv)
     for r in rows:
         print(f"{r['name']}: {r['points']} points, {r['bpp']:.2f} bpp, "
               f"{r['enc_seconds']:.2f} s")

@@ -207,9 +207,10 @@ class ModelCheckpoint:
         meta["config"] = self.model.config.to_dict()
         meta["quantizer"] = _quantizer_entry(self.model.config.num_bins)
         meta["digest"] = self.model.digest().hex()
-        # the weights are float64 noise: compression saved under 5% and
-        # took most of the load time
-        np.savez(path, __meta__=json.dumps(meta, sort_keys=True), **arrays)
+        # uncompressed, as the weights are float64 noise; through a file, as
+        # np.savez appends ".npz" to a bare path
+        with open(path, "wb") as f:
+            np.savez(f, __meta__=json.dumps(meta, sort_keys=True), **arrays)
 
     @classmethod
     def load(cls, path) -> "ModelCheckpoint":
@@ -349,11 +350,12 @@ def header_size(num_scales: int) -> int:
 # Points per block of the decoder's integer CDF rows, which decode reads
 # and scalable decode also estimates missing chunks from. Every row, stream
 # and decode is the same for any block size, which sets only speed and
-# memory: at 64 points an RGB block's edge buffer is 1.3 MB (K = 10,
-# M = 256) and stays in a 2 MB L2 cache through the in-place steps of
-# `mixture_cdf`. Decode and scalable decode timed level (within run-to-run
-# noise) at 32, 64, 128 and 256 points on both benchmark inputs; 2048 made
-# a 42 MB buffer.
+# memory: at 64 points an RGB block's float32 edge buffer is
+# 64 x 10 x 257 x 4 B = 0.66 MB (K = 10, M = 256) and stays in a 2 MB L2
+# cache through the in-place steps of `mixture_cdf`. Timed when coding was
+# float64 (buffers twice as large), decode and scalable decode ran level
+# (within run-to-run noise) at 32, 64, 128 and 256 points on both benchmark
+# inputs; 2048 made a 42 MB buffer.
 _CDF_CHUNK_ROWS = 64
 
 
@@ -430,11 +432,9 @@ def _top_down(model: CodecModel, maps: KernelMapCache, symbols, code_pass):
             symbols = symbols.reshape(len(p), cfg.latent_channels)
     u = lh.unpack_rgb_params(p, cfg.mixtures)
     rgb = []
-    for channel in "rgb":
-        # the green and blue means shift with the channels coded before them
-        x = [lh.RGB_GRID.centers[s] for s in rgb]
+    for _ in range(3):
         rgb.append(code_pass(cfg.num_scales, lh.RGB_GRID,
-                             lh.rgb_channel_params(u, channel, *x)))
+                             lh.rgb_channel_params(u, rgb)))
     return np.stack(rgb, axis=1)
 
 
@@ -560,7 +560,10 @@ def decode_scalable(geometry, bitstream, model: CodecModel,
 
 def truncate_bitstream(bitstream: bytes, num_chunks: int) -> bytes:
     """Prefix of the stream ending exactly after `num_chunks` chunks, or the
-    whole stream when it has no more chunks than that."""
+    whole stream when it has no more chunks than that; a negative count
+    raises ValueError."""
+    if num_chunks < 0:
+        raise ValueError(f"negative chunk count {num_chunks}")
     header, chunks = _read_chunks(bitstream)
     end = header_size(header["num_scales"])
     return bitstream[:end + sum(8 + len(c) for c in chunks[:num_chunks])]
@@ -617,7 +620,7 @@ def quantized_info_bits(model: CodecModel, geometry, rgb_features) -> float:
     """
     maps, top, passes = _analyze(model, geometry, rgb_features)
     # the uniform coder gives every symbol width 1 out of num_bins
-    total = top.size * float(np.log2(model.config.num_bins))
+    total = lh.uniform_bits(*top.shape, model.config.num_bins)
 
     def count(chunk, grid, params):
         nonlocal total

@@ -3,9 +3,10 @@
 Two parameterizations share the same math:
   * latents: per point, per channel, an independent K-component mixture
     (raw layout per point: channels * [K weight logits, K means, K log-scales]);
-  * RGB: per point, K components of 12 values
-    [wR wG wB  muR muG muB  lR lG lB  cGR cBR cBG] where the c's (through
-    tanh) shift the green/blue means linearly by the decoded red/green values.
+  * RGB: per point, K components of 12 values [w, mu, log s, c] x (R, G, B),
+    four (N, K, 3) arrays; `rgb_channel_params`, the one place the rule is
+    written, shifts each channel's means by c (through tanh) times the grid
+    centers of the channels coded before it (PixelCNN++).
 
 The mixture is written once. `mixture_terms` turns raw parameters into
 weights, means and scales, and `_half_logits` gives each component's
@@ -168,69 +169,53 @@ def latent_pmfs(params, num_channels: int, num_mixtures: int, grid: SymbolGrid):
     return dlm_pmf(w, mu, ls, grid)
 
 
+# per channel, the c columns that shift its means: G by R, B by R then G
+_SHIFTS = ((), (0,), (1, 2))
+
+
 def unpack_rgb_params(params, num_mixtures: int):
-    """(N, 12K) raw head output -> dict of (N, K) arrays (tanh on the c's)."""
+    """(N, 12K) raw head output -> weight logits, means, log scales and
+    c = tanh(raw), each (N, K, 3), channel last; c's are [c_gr, c_br, c_bg]."""
     params = ad.as_float(params)
     n = params.shape[0]
     if params.shape[1] != 12 * num_mixtures:
         raise ShapeMismatch(
             f"rgb head width {params.shape[1]}, expected {12 * num_mixtures}")
-    p = params.reshape(n, num_mixtures, 12)
-    return {
-        "w_r": p[..., 0], "w_g": p[..., 1], "w_b": p[..., 2],
-        "mu_r": p[..., 3], "mu_g": p[..., 4], "mu_b": p[..., 5],
-        "ls_r": p[..., 6], "ls_g": p[..., 7], "ls_b": p[..., 8],
-        "c_gr": np.tanh(p[..., 9]),
-        "c_br": np.tanh(p[..., 10]),
-        "c_bg": np.tanh(p[..., 11]),
-    }
+    w, mu, ls, c = np.moveaxis(params.reshape(n, num_mixtures, 4, 3), 2, 0)
+    return w, mu, ls, np.tanh(c)
 
 
-def rgb_channel_params(unpacked, channel: str, x_r=None, x_g=None):
-    """(weight logits, means, log scales) of one RGB channel, each (N, K);
-    green/blue means shift with the decoded values x_r, x_g, cast to the
-    dtype of the parameters."""
-    u = unpacked
-    if channel == "r":
-        return u["w_r"], u["mu_r"], u["ls_r"]
-    dtype = u["mu_r"].dtype
-    if channel == "g":
-        mu = u["mu_g"] + u["c_gr"] * np.asarray(x_r, dtype=dtype)[:, None]
-        return u["w_g"], mu, u["ls_g"]
-    if channel == "b":
-        mu = (u["mu_b"] + u["c_br"] * np.asarray(x_r, dtype=dtype)[:, None]
-              + u["c_bg"] * np.asarray(x_g, dtype=dtype)[:, None])
-        return u["w_b"], mu, u["ls_b"]
-    raise ValueError(channel)
+def rgb_channel_params(unpacked, coded, grid: SymbolGrid = RGB_GRID):
+    """(weight logits, means, log scales) of RGB channel len(coded), each
+    (N, K), given the symbols `coded` of the channels coded before it: each
+    shifts the means by its c column times its grid center, cast to the
+    dtype of the parameters and added in coding order."""
+    w, mu, ls, c = unpacked
+    ch = len(coded)
+    means = mu[..., ch]
+    for col, sym in zip(_SHIFTS[ch], coded):
+        x = np.asarray(grid.centers[sym], dtype=mu.dtype)
+        means = means + c[..., col] * x[:, None]
+    return w[..., ch], means, ls[..., ch]
 
 
-def rgb_channel_pmf(unpacked, channel: str, grid: SymbolGrid,
-                    x_r=None, x_g=None):
-    """pmf of one RGB channel; green/blue means shift with decoded values."""
-    return dlm_pmf(*rgb_channel_params(unpacked, channel, x_r, x_g), grid)
+def rgb_channel_pmf(unpacked, coded, grid: SymbolGrid = RGB_GRID):
+    """pmf (N, M) of RGB channel len(coded) given the channels before it."""
+    return dlm_pmf(*rgb_channel_params(unpacked, coded, grid), grid)
 
 
 def rgb_joint_logprob(params, r, g, b, num_mixtures: int = 10,
                       grid: SymbolGrid = RGB_GRID):
     """log p(r,g,b) per point under the channel-autoregressive model (nats)."""
-    r = np.asarray(r, dtype=np.int64)
-    g = np.asarray(g, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    syms = [np.asarray(s, dtype=np.int64) for s in (r, g, b)]
     M = grid.num_symbols
-    for s in (r, g, b):
-        if np.any((s < 0) | (s >= M)):
-            raise SymbolOutOfRange(f"symbol outside 0..{M - 1}")
+    if any(np.any((s < 0) | (s >= M)) for s in syms):
+        raise SymbolOutOfRange(f"symbol outside 0..{M - 1}")
     u = unpack_rgb_params(params, num_mixtures)
-    n = len(r)
-    rows = np.arange(n)
-    x_r = grid.centers[r]
-    x_g = grid.centers[g]
-    p_r = rgb_channel_pmf(u, "r", grid)[rows, r]
-    p_g = rgb_channel_pmf(u, "g", grid, x_r=x_r)[rows, g]
-    p_b = rgb_channel_pmf(u, "b", grid, x_r=x_r, x_g=x_g)[rows, b]
-    return np.log(np.maximum(p_r, PROB_FLOOR)) \
-        + np.log(np.maximum(p_g, PROB_FLOOR)) \
-        + np.log(np.maximum(p_b, PROB_FLOOR))
+    rows = np.arange(len(syms[0]))
+    return sum(np.log(np.maximum(
+        rgb_channel_pmf(u, syms[:ch], grid)[rows, syms[ch]], PROB_FLOOR))
+        for ch in range(3))
 
 
 # ----------------------------------------------------------- training graphs
@@ -294,20 +279,19 @@ def rgb_bits_node(params: ad.Node, r, g, b, num_mixtures: int,
     """Total -log2 p(F) under the channel-autoregressive mixture head."""
     n = params.value.shape[0]
     u = unpack_rgb_params(params.value, num_mixtures)
+    c = u[3]
     syms = [np.asarray(v, dtype=np.int64) for v in (r, g, b)]
-    x_r, x_g = grid.centers[syms[0]], grid.centers[syms[1]]
-    channels = [_symbol_bits(*rgb_channel_params(u, ch, x_r, x_g), sym, grid)
-                for ch, sym in zip("rgb", syms)]
+    channels = [_symbol_bits(*rgb_channel_params(u, syms[:ch], grid),
+                             syms[ch], grid) for ch in range(3)]
 
     def backward(g):
-        out = np.empty((n, num_mixtures, 12))
-        for i, (_, grads) in enumerate(channels):
-            out[..., i], out[..., 3 + i], out[..., 6 + i] = grads(g)
-        # c = tanh(raw column) shifts the means: mu_g + c_gr x_r and
-        # mu_b + c_br x_r + c_bg x_g
-        for col, c, mean_col, x in ((9, "c_gr", 4, x_r), (10, "c_br", 5, x_r),
-                                    (11, "c_bg", 5, x_g)):
-            out[..., col] = out[..., mean_col] * x[:, None] * (1 - u[c] * u[c])
+        out = np.empty((n, num_mixtures, 4, 3))
+        for ch, (_, grads) in enumerate(channels):
+            out[..., 0, ch], out[..., 1, ch], out[..., 2, ch] = grads(g)
+            # c = tanh(raw) times a coded channel's center shifts the means
+            for col, sym in zip(_SHIFTS[ch], syms):
+                out[..., 3, col] = (out[..., 1, ch] * grid.centers[sym][:, None]
+                                    * (1 - c[..., col] * c[..., col]))
         return (out.reshape(n, -1),)
 
     return ad.Node(sum(bits for bits, _ in channels), (params,), backward)

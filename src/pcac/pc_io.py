@@ -170,8 +170,9 @@ def write_ply(pc: PointCloud, path, binary: bool = True):
             rec["r"], rec["g"], rec["b"] = col[:, 0], col[:, 1], col[:, 2]
             f.write(rec.tobytes())
         else:
+            # 9 significant digits give back any float32 exactly
             for i in range(n):
-                f.write((f"{pos[i, 0]:g} {pos[i, 1]:g} {pos[i, 2]:g} "
+                f.write((f"{pos[i, 0]:.9g} {pos[i, 1]:.9g} {pos[i, 2]:.9g} "
                          f"{col[i, 0]} {col[i, 1]} {col[i, 2]}\n").encode())
 
 

@@ -7,7 +7,7 @@ replay the exact same computation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -238,10 +238,7 @@ class ModelConfig:
         return 3 * self.mixtures * self.latent_channels
 
     def to_dict(self):
-        return dict(num_scales=self.num_scales, hidden=self.hidden,
-                    latent_channels=self.latent_channels,
-                    res_blocks=self.res_blocks, mixtures=self.mixtures,
-                    num_bins=self.num_bins)
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):

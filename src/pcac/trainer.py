@@ -15,6 +15,9 @@ from .errors import EmptyDataset
 from .pc_io import load_blocks
 from .tensor_core import build_pyramid  # noqa: F401  perfbench traces it here
 
+# share of the blocks held out for validation and early stopping
+VAL_FRACTION = 0.1
+
 
 @dataclass
 class TrainConfig:
@@ -25,7 +28,6 @@ class TrainConfig:
     patience: int = 20
     max_epochs: int = 200
     seed: int = 0
-    val_fraction: float = 0.1
 
     def lr_at(self, epoch: int) -> float:
         """Adam's learning rate in `epoch`: `lr`, decayed by `lr_decay`
@@ -57,7 +59,7 @@ def train(blocks, config: TrainConfig | None = None,
 
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(data))
-    n_val = int(round(config.val_fraction * len(data)))
+    n_val = int(round(VAL_FRACTION * len(data)))
     n_val = min(n_val, len(data) - 1)
     val = [data[i] for i in order[:n_val]]
     tr = [data[i] for i in order[n_val:]]

@@ -174,10 +174,13 @@ def test_train_command(workspace, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
         "pcac.trainer.CodecModel",
         lambda seed=0: codec.CodecModel(CFG, seed=seed))
-    out = tmp_path / "trained.npz"
+    # the checkpoint lands at exactly --out, with no ".npz" appended and no
+    # temp file left beside it
+    out = tmp_path / "trained.ckpt"
     assert cli.main(["train", str(workspace / "data"), "--out", str(out),
                      "--max-epochs", "1", "--seed", "0"]) == 0
-    assert "saved checkpoint" in capsys.readouterr().out
+    assert f"saved checkpoint to {out} " in capsys.readouterr().out
+    assert [p.name for p in tmp_path.iterdir()] == ["trained.ckpt"]
     ckpt = codec.ModelCheckpoint.load(out)
     assert ckpt.metadata["epochs_run"] == 1
 

@@ -278,6 +278,12 @@ def test_chunk_structure_and_truncation(model):
         assert len(trunc) == hdr + sum(lengths[:k]) + 8 * k
     assert codec.truncate_bitstream(stream, 4) == stream
     assert codec.truncate_bitstream(stream, 9) == stream
+    # a negative count is no prefix (a slice would drop the last chunk)
+    with pytest.raises(ValueError):
+        codec.truncate_bitstream(stream, -1)
+    data = codec.encode_blocks([((0, 0, 0), coords, rgb)], model)
+    with pytest.raises(ValueError):
+        codec.decode_blocks(data, [coords], model, chunks=-1)
 
 
 # malformed input -> CorruptStream, never a struct.error or a silent accept
@@ -448,8 +454,10 @@ def test_measure_bpp():
 
 
 def test_checkpoint_round_trip(tmp_path, model):
-    path = tmp_path / "model.npz"
-    codec.ModelCheckpoint(model, {"note": "test"}).save(path)
+    # saved at exactly the path given: no ".npz" is appended to it
+    path = tmp_path / "model.ckpt"
+    codec.ModelCheckpoint(model, {"note": "test"}).save(str(path))
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
     loaded = codec.ModelCheckpoint.load(path)
     assert loaded.metadata["note"] == "test"
     assert loaded.model.digest() == model.digest()

@@ -108,15 +108,16 @@ def test_rgb_joint_enumeration_sums_to_one():
 
 
 def test_rgb_conditioning_shifts_means():
-    # with c_gr -> tanh(large) ~ 1, the green mean tracks x_r exactly
+    # with c_gr -> tanh(large) ~ 1, the green mean tracks red's center
+    # exactly; red symbols 64 and 191 have centers -0.498 and 0.498
     k = 1
     params = np.zeros((1, 12))
     params[0, 7] = np.log(0.02)  # sharp green scale so the mode is visible
     params[0, 9] = 50.0  # c_gr ~ 1
     u = lh.unpack_rgb_params(params, k)
-    assert u["c_gr"][0, 0] == pytest.approx(1.0)
-    p_low = lh.rgb_channel_pmf(u, "g", lh.RGB_GRID, x_r=np.array([-0.5]))
-    p_high = lh.rgb_channel_pmf(u, "g", lh.RGB_GRID, x_r=np.array([0.5]))
+    assert u[3][0, 0, 0] == pytest.approx(1.0)
+    p_low = lh.rgb_channel_pmf(u, [np.array([64])], lh.RGB_GRID)
+    p_high = lh.rgb_channel_pmf(u, [np.array([191])], lh.RGB_GRID)
     # mode moves with the conditioning value
     assert abs(lh.RGB_GRID.centers[p_low.argmax()] - (-0.5)) < 0.02
     assert abs(lh.RGB_GRID.centers[p_high.argmax()] - 0.5) < 0.02
@@ -503,10 +504,10 @@ def test_coding_steps_keep_float32(dtype):
     assert lh.mixture_cdf(w, mu, s, lh.SymbolGrid(26).cdf_edges).dtype == want
     u = lh.unpack_rgb_params((rng.normal(size=(n, 12 * k)) * 2).astype(dtype),
                              k)
-    assert all(a.dtype == want for a in u.values())
-    x_r, x_g = (lh.RGB_GRID.centers[rng.integers(0, 256, n)] for _ in "rg")
-    for channel in "rgb":
-        terms = lh.mixture_terms(*lh.rgb_channel_params(u, channel, x_r, x_g))
+    assert all(a.dtype == want for a in u)
+    coded = [rng.integers(0, 256, n) for _ in range(2)]
+    for ch in range(3):
+        terms = lh.mixture_terms(*lh.rgb_channel_params(u, coded[:ch]))
         assert all(a.dtype == want for a in terms)
         rows = lh.pointwise_cdf(*terms, lh.RGB_GRID, np.arange(257))
         assert rows.dtype == np.int64

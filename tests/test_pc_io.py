@@ -28,6 +28,9 @@ def test_binary_round_trip(tmp_path):
 def test_ascii_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     pc = make_cloud(rng, n=50)
+    # positions inside COORD_BITS = 20 that need 7 significant digits: with
+    # 6, 1048575 and 1000001 would come back as 1048580 and 1000000
+    pc.positions[:2] = [[1048575, 1000001, 0], [1000000, 3, 1048574]]
     path = tmp_path / "cloud.ply"
     pc_io.write_ply(pc, path, binary=False)
     back = pc_io.read_ply(path)
