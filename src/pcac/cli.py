@@ -140,7 +140,11 @@ def _cmd_self_check(args):
     rng = np.random.default_rng(args.seed)
     model = codec.CodecModel(seed=args.seed)
 
-    checks = []
+    checks = {}  # check name -> the verdict of each of its cases
+
+    def check(name, ok):
+        checks.setdefault(name, []).append(bool(ok))
+
     # range coder round trip
     for _ in range(20):
         m = int(rng.integers(2, 300))
@@ -149,26 +153,32 @@ def _cmd_self_check(args):
         syms = rng.integers(0, m, size=int(rng.integers(1, 500)))
         data = rc.encode_with_cdfs(syms, np.asarray(cdf))
         back = rc.decode_with_cdfs(data, np.asarray(cdf), len(syms))
-        checks.append(("range coder round trip", np.array_equal(syms, back)))
+        check("range coder round trip", np.array_equal(syms, back))
     # the coder's CDF rule, in the coder's dtype: rows run from 0 to TOTAL
     # and strictly increase
     mixtures = rng.normal(size=(3, 50, 10)).astype(codec.CODING_DTYPE)
     rows = lh.pointwise_cdf(*lh.mixture_terms(*mixtures), lh.RGB_GRID,
                             np.arange(lh.RGB_GRID.num_symbols + 1))
-    ok = (rows[:, [0, -1]] == [0, rc.TOTAL]).all() and np.diff(rows).min() > 0
-    checks.append(("pointwise cdf rows", bool(ok)))
+    check("pointwise cdf rows",
+          (rows[:, [0, -1]] == [0, rc.TOTAL]).all() and np.diff(rows).min() > 0)
     # codec round trip on a small random block
     coords = np.unique(rng.integers(0, 16, size=(200, 3)), axis=0)
     rgb = rng.integers(0, 256, size=(len(coords), 3))
     stream = codec.encode(coords, rgb, model)
     back = codec.decode(coords, stream, model)
-    checks.append(("codec round trip",
-                   np.array_equal(back, rgb[sort_coords(coords)])))
+    check("codec round trip", np.array_equal(back, rgb[sort_coords(coords)]))
 
-    failed = [name for name, ok in checks if not ok]
-    for name, ok in checks:
-        print(f"{'ok' if ok else 'FAIL'}: {name}")
-    return 0 if not failed else 2
+    for name, cases in checks.items():
+        print(f"{'ok' if all(cases) else 'FAIL'}: {name} "
+              f"({sum(cases)}/{len(cases)} cases passed)")
+    return 0 if all(all(cases) for cases in checks.values()) else 2
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
 
 
 def build_parser():
@@ -181,8 +191,8 @@ def build_parser():
     t.add_argument("data_dir")
     t.add_argument("--out", required=True)
     t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--max-epochs", type=int, default=200)
-    t.add_argument("--batch-size", type=int, default=128)
+    t.add_argument("--max-epochs", type=_positive_int, default=200)
+    t.add_argument("--batch-size", type=_positive_int, default=128)
     t.add_argument("--verbose", action="store_true")
     t.set_defaults(func=_cmd_train)
 

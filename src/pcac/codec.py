@@ -662,7 +662,10 @@ def decode_blocks(data: bytes, blocks_geometry, model: CodecModel,
 
     chunks=None decodes losslessly; otherwise each block is cut to its first
     `chunks` chunks and decoded by decode_scalable with `mode` and `seed`.
+    A count below 1 raises ValueError.
     """
+    if chunks is not None and chunks < 1:
+        raise ValueError(f"chunk count {chunks} is below 1")
     if len(data) < 13 or data[:4] != FILE_MAGIC:
         raise CorruptStream("bad or truncated file header")
     version, count = struct.unpack_from("<BI", data, 4)

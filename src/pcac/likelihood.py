@@ -14,10 +14,12 @@ weights, means and scales, and `_half_logits` gives each component's
 `mixture_cdf` serves coding and evaluation: the coder takes its integer
 CDFs from `pointwise_cdf`, which needs F only at the edges it is asked for
 and gives the encoder (two edges per symbol), the decoder (whole rows) and
-the estimates of a scalable decode the same integers, and `dlm_pmf` is the
-difference of F at the bin edges. For training, `latent_bits_node` and
-`rgb_bits_node` each make one autodiff node of the total -log2 p of the
-coded symbols, whose backward is the analytic gradient of that likelihood.
+the estimates of a scalable decode the same integers. For training,
+`latent_bits_node` and `rgb_bits_node` each make one autodiff node of the
+total -log2 p of the coded symbols, whose backward is the analytic gradient
+of that likelihood. Tests, oracles and `pcac self-check` use the pmf side,
+which neither codes nor trains: `dlm_pmf` (F differenced at the bin edges),
+`latent_pmfs`, `rgb_channel_pmf`, `rgb_joint_logprob` and `build_cdf_table`.
 
 Precision follows the head output (`autodiff.as_float`): `mixture_terms`,
 `unpack_*_params`, `rgb_channel_params`, `mixture_cdf` and `pointwise_cdf`
@@ -25,8 +27,8 @@ keep float32 parameters in float32, as the coder passes them, and compute
 anything else in float64, as training does. The grid values they mix in
 (the CDF edges and the RGB centers behind the green and blue mean shifts)
 are cast to the parameters' dtype, so no step promotes float32 back to
-float64. `pointwise_cdf` scales F in float64, where F * (2**16 - M) is exact
-for a float32 F.
+float64. `_integer_cdf`, the coder's one integer rule, scales F in float64,
+where F * (2**16 - M) is exact for a float32 F.
 """
 
 from __future__ import annotations
@@ -126,29 +128,31 @@ def mixture_cdf(w, mu, s, edges):
     return cdf
 
 
-def pointwise_cdf(w, mu, s, grid: SymbolGrid, edge_index):
-    """The coder's integer CDF at edge indices `edge_index` (..., E) in 0..M.
-
-    cdf(m) = floor(F(e_m) * (TOTAL - M)) + m, with TOTAL = 2**16 the range
-    coder's total and F from `mixture_cdf` in the dtype of the mixture,
-    fixed at 0 for m = 0 and at 1 for m = M. The product is taken in
-    float64, where it is exact for a float32 F. The rule needs no table: a
-    symbol's span takes F at its own two edges only. As F is monotone, every
-    symbol gets a width of at least 1, and a row runs from 0 to TOTAL.
-    """
-    M = grid.num_symbols
-    m = np.asarray(edge_index, dtype=np.int64)
-    cdf = mixture_cdf(w, mu, s, grid.cdf_edges[m]).astype(np.float64,
-                                                           copy=False)
+def _integer_cdf(F, m, M: int):
+    """The coder's integer CDF floor(F * (TOTAL - M)) + m at edge indices
+    `m` in 0..M (broadcasting against the CDF values `F`), F fixed at 0 for
+    m = 0 and at 1 for m = M, TOTAL = 2**16 the range coder's total. For a
+    monotone F every symbol gets a width of at least 1, and a row runs from
+    0 to TOTAL."""
+    cdf = np.array(F, dtype=np.float64)
     np.copyto(cdf, 0.0, where=m == 0)
     np.copyto(cdf, 1.0, where=m == M)
     if not np.all(np.isfinite(cdf)):
-        raise DegeneratePmf("mixture CDF is not finite")
+        raise DegeneratePmf("CDF is not finite")
     np.multiply(cdf, TOTAL - M, out=cdf)
     np.floor(cdf, out=cdf)
     out = cdf.astype(np.int64)
     out += m
     return out
+
+
+def pointwise_cdf(w, mu, s, grid: SymbolGrid, edge_index):
+    """`_integer_cdf` at edge indices `edge_index` (..., E) of F from
+    `mixture_cdf`, in the dtype of the mixture. It needs no table: a
+    symbol's span takes F at its own two edges only."""
+    m = np.asarray(edge_index, dtype=np.int64)
+    return _integer_cdf(mixture_cdf(w, mu, s, grid.cdf_edges[m]), m,
+                        grid.num_symbols)
 
 
 def unpack_latent_params(params, num_channels: int, num_mixtures: int):
@@ -305,12 +309,8 @@ def uniform_bits(num_points: int, num_channels: int, alphabet: int) -> float:
 # ------------------------------------------------------------------ CDF table
 
 def build_cdf_table(pmf):
-    """Quantize pmfs (rows) to integer CDFs summing to the range coder's
-    TOTAL (2**16).
-
-    Largest-remainder rounding with a guaranteed width of 1 per symbol;
-    fully deterministic (ties broken by symbol index).
-    """
+    """The coder's integer CDFs of pmfs (rows): `_integer_cdf` of each
+    normalized row's cumulative sum."""
     pmf = np.atleast_2d(np.asarray(pmf, dtype=np.float64))
     n, M = pmf.shape
     if M < 2:
@@ -319,25 +319,6 @@ def build_cdf_table(pmf):
     if np.any(~np.isfinite(pmf)) or np.any(pmf < 0) or \
             np.any(np.abs(sums - 1.0) > 1e-6):
         raise DegeneratePmf("pmf is not a probability vector")
-    budget = TOTAL - M  # one guaranteed slot per symbol
-    scaled = pmf / sums[:, None] * budget
-    floored = np.floor(scaled)
-    frac = scaled - floored
-    base = floored.astype(np.int64)
-    leftover = np.clip(budget - base.sum(axis=-1), 0, M)
-    # the leftover slots go to the largest remainders, ties to the lower
-    # symbol index: every remainder above the leftover-th largest (kth) gets
-    # one, and the lowest-index remainders equal to kth fill the rest
-    ranked = np.sort(frac, axis=-1)
-    kth = np.where(leftover > 0,
-                   ranked[np.arange(n), np.minimum(M - leftover, M - 1)],
-                   np.inf)
-    above = frac > kth[:, None]
-    tied = frac == kth[:, None]
-    need = leftover - above.sum(axis=-1)
-    first_tied = np.cumsum(tied, axis=-1, dtype=np.int32) <= need[:, None]
-    bonus = above | (tied & first_tied)
-    freq = base + bonus + 1
-    cdf = np.zeros((n, M + 1), dtype=np.int64)
-    np.cumsum(freq, axis=-1, out=cdf[:, 1:])
-    return cdf
+    F = np.zeros((n, M + 1))
+    np.cumsum(pmf / sums[:, None], axis=-1, out=F[:, 1:])
+    return _integer_cdf(F, np.arange(M + 1), M)

@@ -96,12 +96,17 @@ def build_sparse_tensor(coords, features) -> SparseTensor:
             f"{len(features)} feature rows for {len(coords)} coordinates")
     perm = sort_coords(coords)
     coords = coords[perm]
-    features = features[perm]
-    keys = pack_coords(coords)
-    if len(keys) > 1 and np.any(keys[1:] == keys[:-1]):
-        i = int(np.argmax(keys[1:] == keys[:-1]))
-        raise DuplicateCoordinate(f"duplicate coordinate {tuple(coords[i])}")
-    return SparseTensor(coords, features)
+    _reject_duplicates(pack_coords(coords), coords)
+    return SparseTensor(coords, features[perm])
+
+
+def _reject_duplicates(keys: np.ndarray, sorted_coords: np.ndarray):
+    """Raise DuplicateCoordinate if the sorted `keys` of `sorted_coords`
+    hold a coordinate twice."""
+    repeat = keys[1:] == keys[:-1]
+    if repeat.any():
+        coord = tuple(sorted_coords[int(np.argmax(repeat))].tolist())
+        raise DuplicateCoordinate(f"duplicate coordinate {coord}")
 
 
 def downsample_coords(coords: np.ndarray, stride: int) -> np.ndarray:
@@ -134,6 +139,8 @@ def build_pyramid(geometry: np.ndarray, num_levels: int = 3) -> ScalePyramid:
 
     Level n is the n-fold stride-2 downsampling of level 0. The pyramid is a
     pure function of the geometry, so encoder and decoder always agree on it.
+    A repeated level-0 coordinate raises DuplicateCoordinate: a sparse conv
+    needs each point once.
     """
     geometry = np.asarray(geometry, dtype=np.int64).reshape(-1, 3)
     if len(geometry) == 0:
@@ -143,4 +150,5 @@ def build_pyramid(geometry: np.ndarray, num_levels: int = 3) -> ScalePyramid:
     for n in range(num_levels):
         coords.append(downsample_coords(coords[-1], 1 << n))
     indexes = [CoordIndex(c) for c in coords]
+    _reject_duplicates(indexes[0].keys, level0)
     return ScalePyramid(coords, indexes)

@@ -49,8 +49,12 @@ def train(blocks, config: TrainConfig | None = None,
 
     Fully deterministic for a given seed: the validation split, per-epoch
     shuffle, and gradient accumulation order are all derived from it.
+    `max_epochs` and `batch_size` below 1 raise ValueError.
     """
     config = config or TrainConfig()
+    if config.max_epochs < 1 or config.batch_size < 1:
+        raise ValueError(f"max_epochs {config.max_epochs} and batch_size "
+                         f"{config.batch_size} must be at least 1")
     model = model or CodecModel(seed=config.seed)
     pairs = _as_pairs(blocks)
     if not pairs:
@@ -133,7 +137,8 @@ def train(blocks, config: TrainConfig | None = None,
 def evaluate(paths, model: CodecModel):
     """Encode whole point-cloud files; report rate and timing per file.
 
-    Returns rows of {name, points, bpp, enc_seconds} plus an average row.
+    Returns rows of {name, points, bpp, enc_seconds} plus an average row;
+    no paths raise EmptyDataset.
     """
     rows = []
     for path in paths:
@@ -149,13 +154,14 @@ def evaluate(paths, model: CodecModel):
             "bpp": measure_bpp(data, points),
             "enc_seconds": elapsed,
         })
-    if rows:
-        total_bits = sum(r["bpp"] * r["points"] for r in rows)
-        total_points = sum(r["points"] for r in rows)
-        rows.append({
-            "name": "Average",
-            "points": total_points,
-            "bpp": total_bits / total_points,
-            "enc_seconds": sum(r["enc_seconds"] for r in rows) / len(rows),
-        })
+    if not rows:
+        raise EmptyDataset("no point-cloud files to evaluate")
+    total_bits = sum(r["bpp"] * r["points"] for r in rows)
+    total_points = sum(r["points"] for r in rows)
+    rows.append({
+        "name": "Average",
+        "points": total_points,
+        "bpp": total_bits / total_points,
+        "enc_seconds": sum(r["enc_seconds"] for r in rows) / len(rows),
+    })
     return rows

@@ -33,6 +33,10 @@ def test_usage_errors_exit_1():
     assert cli.main(["encode"]) == 1
     assert cli.main(["decode-scalable", "a", "b", "--model", "m",
                      "--out", "o", "--chunks", "9"]) == 1
+    # epochs and batch sizes are positive integers
+    for flag, value in (("--max-epochs", "0"), ("--batch-size", "0"),
+                        ("--batch-size", "-1"), ("--max-epochs", "two")):
+        assert cli.main(["train", "d", "--out", "o", flag, value]) == 1
 
 
 def test_missing_files_exit_2(workspace, tmp_path, capsys):
@@ -169,6 +173,17 @@ def test_evaluate_writes_csv(workspace, capsys):
     assert lines[-1].startswith("Average,")
 
 
+def test_evaluate_empty_directory_exits_2(workspace, tmp_path, capsys):
+    # as train does on the same directory
+    csv_path = tmp_path / "report.csv"
+    for command in (["evaluate", str(tmp_path), "--model",
+                     str(workspace / "model.npz"), "--csv", str(csv_path)],
+                    ["train", str(tmp_path), "--out", str(tmp_path / "m")]):
+        assert cli.main(command) == 2
+        assert "EmptyDataset" in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
 def test_train_command(workspace, tmp_path, capsys, monkeypatch):
     # tiny run just to exercise the pipeline end to end
     monkeypatch.setattr(
@@ -198,6 +213,9 @@ def test_self_check(capsys):
     out = capsys.readouterr().out
     assert "ok: codec round trip" in out
     assert "ok: pointwise cdf rows" in out
+    # one line per check, with its case count
+    assert out.count("range coder round trip") == 1
+    assert "ok: range coder round trip (20/20 cases passed)" in out
     assert "FAIL" not in out
 
 

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcac import codec
+from pcac import codec, trainer
 from pcac import likelihood as lh
 from pcac.errors import (ChecksumFailure, CorruptStream, DesyncError,
-                         DigestMismatch, EmptyGeometry, InvalidCdf,
-                         ModelMismatch, PcacError, ShapeMismatch,
+                         DigestMismatch, DuplicateCoordinate, EmptyGeometry,
+                         InvalidCdf, ModelMismatch, PcacError, ShapeMismatch,
                          SymbolOutOfRange)
 from pcac.sparse_nn import ModelConfig
 from pcac.tensor_core import sort_coords
@@ -70,6 +70,24 @@ def test_encode_validates_inputs(model):
                       lambda: codec.estimate_bits(model, coords, wrong)):
             with pytest.raises(SymbolOutOfRange):
                 entry()
+
+
+def test_duplicate_geometry_is_rejected(model):
+    # a repeated point repeats an input row within a conv offset, where the
+    # fancy-index += keeps only one of them and the gradients go wrong: every
+    # entry point refuses such geometry
+    coords, rgb = random_block(np.random.default_rng(13), lo=94, hi=95)
+    stream = codec.encode(coords, rgb, model)
+    dup = np.concatenate([coords, coords[:5]])
+    dup_rgb = np.concatenate([rgb, rgb[:5]])
+    for entry in (lambda: codec.encode(dup, dup_rgb, model),
+                  lambda: codec.decode(dup, stream, model),
+                  lambda: codec.estimate_bits(model, dup, dup_rgb),
+                  lambda: trainer.train([(dup, dup_rgb)],
+                                        trainer.TrainConfig(max_epochs=1),
+                                        model=codec.CodecModel(CFG, seed=0))):
+        with pytest.raises(DuplicateCoordinate):
+            entry()
 
 
 def test_decode_rejects_wrong_model(model):
@@ -282,8 +300,10 @@ def test_chunk_structure_and_truncation(model):
     with pytest.raises(ValueError):
         codec.truncate_bitstream(stream, -1)
     data = codec.encode_blocks([((0, 0, 0), coords, rgb)], model)
-    with pytest.raises(ValueError):
-        codec.decode_blocks(data, [coords], model, chunks=-1)
+    # a valid file cut to no chunks is a bad request, not a corrupt stream
+    for count in (-1, 0):
+        with pytest.raises(ValueError):
+            codec.decode_blocks(data, [coords], model, chunks=count)
 
 
 # malformed input -> CorruptStream, never a struct.error or a silent accept

@@ -301,21 +301,30 @@ def test_cdf_table_rejects_bad_pmfs():
 
 
 def test_cdf_table_deterministic_tie_break():
-    # six identical fractions competing for four leftover slots: the four
-    # lowest symbol indices win
+    # [DERIVED] six equal masses: floor(j/6 * 65530) + j at the edges
+    # j = 0..6 is 0, 10922, 21845, 32768, 43690, 54613, 65536
     cdf1 = lh.build_cdf_table(np.full(6, 1 / 6))
     cdf2 = lh.build_cdf_table(np.full(6, 1 / 6))
     np.testing.assert_array_equal(cdf1, cdf2)
-    freq = np.diff(cdf1[0])
-    # leftover slots go to the lowest indices
-    assert np.all(np.diff(freq) <= 0)
+    assert np.diff(cdf1[0]).tolist() == [10922, 10923, 10923, 10922, 10923,
+                                         10923]
+
+
+def _floor_cdf_row(row):
+    """One table row by the coder's rule, in plain Python: edge m gets
+    floor(P[m] * (2^16 - M)) + m, P the cumulative sums of the normalized
+    row, fixed at 0 and 1 at the end edges. Only the cumulative sum uses
+    numpy, because the table must reproduce its float rounding."""
+    M = len(row)
+    P = [0.0, *np.cumsum(row / row.sum()).tolist()[:-1], 1.0]
+    return [math.floor(float(P[m]) * (65536 - M)) + m for m in range(M + 1)]
 
 
 def _reference_cdf_row(row, precision_bits=16):
-    """One table row by the rule itself, in plain Python: floor, then one
-    bonus slot per symbol in (-remainder, index) order while the budget
-    lasts, plus the guaranteed 1. Only the scaling uses numpy, because the
-    table must reproduce its float rounding."""
+    """A largest-remainder row, a near-optimal rounding to compare rates
+    with, in plain Python: floor, then one bonus slot per symbol in
+    (-remainder, index) order while the budget lasts, plus the guaranteed
+    1."""
     M = len(row)
     budget = (1 << precision_bits) - M
     scaled = (row / row.sum() * budget).tolist()
@@ -335,11 +344,11 @@ def test_cdf_table_matches_reference(M):
     counts[:, 0] += 1
     k = 3
     cases = {
-        # small integer counts: many equal remainders straddle the cut
+        # small integer counts: many cumulative sums land on exact fractions
         "tie-heavy": counts / counts.sum(axis=-1, keepdims=True),
-        # M equal remainders, leftover slots go to the lowest indices
+        # M equal masses, cumulative sums j / M
         "uniform": np.full((1, M), 1.0 / M),
-        # the whole budget lands on one symbol: leftover == 0
+        # the whole budget lands on one symbol
         "one-hot": np.eye(M)[:8],
         "dirichlet": rng.dirichlet(np.full(M, 0.3), size=40),
         "dlm": lh.dlm_pmf(rng.normal(size=(40, k)),
@@ -348,7 +357,7 @@ def test_cdf_table_matches_reference(M):
                           lh.SymbolGrid(M)),
     }
     for name, pmf in cases.items():
-        expected = [_reference_cdf_row(row) for row in pmf]
+        expected = [_floor_cdf_row(row) for row in pmf]
         assert lh.build_cdf_table(pmf).tolist() == expected, name
 
 
@@ -462,7 +471,7 @@ def test_pointwise_cdf_rows_are_valid(grid, dtype=np.float64):
         interior = np.floor(F[:, 1:M] * ((1 << 16) - M)).astype(np.int64)
         np.testing.assert_array_equal(rows[:, 1:M], interior + edges[1:M])
         # the rate the rule costs over the exact (float64) pmf of the same
-        # raw parameters: as small as that of the largest-remainder tables
+        # raw parameters: as small as that of largest-remainder rounding
         p = lh.dlm_pmf(*(a.astype(dtype).astype(np.float64) for a in raw),
                        grid)
 
@@ -471,7 +480,8 @@ def test_pointwise_cdf_rows_are_valid(grid, dtype=np.float64):
             return (p * np.log2(np.maximum(p, 1e-300) / q)).sum(axis=-1)
 
         assert kl(rows).max() < 1e-2
-        assert kl(rows).mean() < kl(lh.build_cdf_table(p)).mean() + 1e-4
+        optimal = np.array([_reference_cdf_row(row) for row in p])
+        assert kl(rows).mean() < kl(optimal).mean() + 1e-4
 
 
 @GRIDS

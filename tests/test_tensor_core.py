@@ -110,6 +110,11 @@ def test_pyramid_empty_and_single():
     assert pyr.coords[3].tolist() == [[0, 0, 0]]
 
 
+def test_pyramid_rejects_duplicates():
+    with pytest.raises(DuplicateCoordinate, match=r"\(1, 2, 3\)"):
+        build_pyramid(np.array([[1, 2, 3], [5, 5, 5], [1, 2, 3]]), 3)
+
+
 @given(coord_lists)
 @settings(max_examples=30, deadline=None)
 def test_pyramid_invariants(coords):

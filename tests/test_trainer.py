@@ -146,6 +146,11 @@ def test_train_accepts_pc_io_blocks_and_rejects_empty():
         with pytest.raises(SymbolOutOfRange):
             trainer.train([(coords, wrong)], cfg,
                           model=codec.CodecModel(CFG, seed=0))
+    # at least one epoch of batches of at least one block
+    for bad in ({"max_epochs": 0}, {"batch_size": 0}, {"batch_size": -1}):
+        with pytest.raises(ValueError):
+            trainer.train([(coords, rgb)], trainer.TrainConfig(**bad),
+                          model=codec.CodecModel(CFG, seed=0))
 
 
 def test_time_budget_stops_early():
@@ -175,3 +180,5 @@ def test_evaluate_reports_rate_and_average(tmp_path):
     total_points = sum(r["points"] for r in rows[:-1])
     assert rows[-1]["bpp"] == pytest.approx(total_bits / total_points)
     assert rows[-1]["points"] == total_points
+    with pytest.raises(EmptyDataset):
+        trainer.evaluate([], model)
