@@ -381,14 +381,6 @@ def _cdf_tables(grid: lh.SymbolGrid, params):
                                edges).reshape(-1, len(edges))
 
 
-def _rows(table):
-    """The rows of an integer table as slices of one memoryview: their items
-    are Python ints, and no row is copied."""
-    width = table.shape[1]
-    flat = memoryview(table.reshape(-1))
-    return [flat[lo:lo + width] for lo in range(0, len(flat), width)]
-
-
 class _SpanHash:
     """CRC32 per chunk, and optionally one SHA-256 over all chunks, of the
     coded (lo, hi) span sequence, as little-endian uint32 pairs."""
@@ -421,10 +413,12 @@ def _top_down(model: CodecModel, maps: KernelMapCache, symbols, code_pass):
     for n in range(cfg.num_scales, 0, -1):
         # only values cross a scale boundary, so no decoder's autodiff graph
         # outlives its scale
-        p, forwarded = (node.value for node in model.decoders[n - 1](
+        params, forward = model.decoders[n - 1](
             ad.constant(dequantize(symbols, model.latent_grid).astype(
                 CODING_DTYPE)),
-            None if forwarded is None else ad.constant(forwarded), maps))
+            None if forwarded is None else ad.constant(forwarded), maps)
+        p = params.value
+        forwarded = None if forward is None else forward.value
         if n > 1:
             symbols = code_pass(cfg.num_scales + 1 - n, model.latent_grid,
                                 lh.unpack_latent_params(
@@ -490,9 +484,12 @@ def _decode(geometry, bitstream, model: CodecModel, estimate=None,
     pyramid = build_pyramid(geometry, cfg.num_scales)
     if tuple(header["counts"]) != tuple(len(c) for c in pyramid.coords):
         raise ModelMismatch("geometry does not match the encoded point counts")
-    if not chunks or (estimate is None and len(chunks) != cfg.num_scales + 1):
+    if estimate is None and len(chunks) != cfg.num_scales + 1:
         raise CorruptStream(
             f"expected {cfg.num_scales + 1} chunks, found {len(chunks)}")
+    if not chunks:
+        raise CorruptStream("a scalable decode needs at least the top chunk, "
+                            "and the stream has no chunk")
     if any(len(c) < 4 for c in chunks[1:]):
         raise CorruptStream("chunk too short for its span hash")
 
@@ -508,9 +505,7 @@ def _decode(geometry, bitstream, model: CodecModel, estimate=None,
             if chunk >= len(chunks):
                 out.append(estimate(table))
                 continue
-            dec = decoders[chunk - 1]
-            syms = np.array([dec.decode_symbol(row) for row in _rows(table)],
-                            dtype=np.int64)
+            syms = decoders[chunk - 1].decode_table(table)
             rows = np.arange(len(syms))
             spans.add(chunk - 1, table[rows, syms], table[rows, syms + 1])
             out.append(syms)

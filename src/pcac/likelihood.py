@@ -93,16 +93,20 @@ def dlm_pmf(weight_logits, means, log_scales, grid: SymbolGrid):
     return np.diff(cdf, axis=-1)
 
 
-def _k_first(a):  # (..., K) -> (K, ..., 1)
-    return np.moveaxis(a, -1, 0)[..., None]
+def _k_first(a):  # (..., K) -> (K, ..., 1), a view
+    return a.transpose(a.ndim - 1, *range(a.ndim - 1))[..., None]
 
 
 def _half_logits(mu, s, edges):
     """(e - mu_k) * (0.5 / s_k) of every component at `edges`: (K, ..., E)
     for `mu`, `s` (..., K) and `edges` (..., E), the edges cast to the dtype
     of `mu`. The sigmoid of a component's logit is 0.5 * (tanh of this + 1).
+    The result is C-contiguous, so each component's block is contiguous.
     """
-    t = np.subtract(np.asarray(edges, dtype=mu.dtype), _k_first(mu))
+    edges = np.asarray(edges, dtype=mu.dtype)
+    mu_k = _k_first(mu)
+    t = np.empty(np.broadcast_shapes(edges.shape, mu_k.shape), dtype=mu.dtype)
+    np.subtract(edges, mu_k, out=t)
     np.multiply(t, _k_first(0.5 / s), out=t)
     return t
 

@@ -4,6 +4,13 @@ Pure integer arithmetic (64-bit low, 32-bit range, byte-wise renormalization
 with explicit carry propagation), so the byte output is platform independent.
 Encoder and decoder must see the identical CDF sequence; there is no adaptive
 state.
+
+The arithmetic is written once per direction, as a loop over many symbols
+with the coder state in locals: `RangeEncoder.encode_spans` codes a sequence
+of (lo, hi) spans out of `total`, and `RangeDecoder.decode_table` reads one
+symbol against each row of an integer CDF table (the codec passes one table
+per 64-point block). The uniform model is the same loops with `total` the
+alphabet size. The per-symbol methods are thin wrappers over them.
 """
 
 from __future__ import annotations
@@ -31,49 +38,42 @@ class RangeEncoder:
         self.range = _MASK32
         self.out = bytearray()
 
-    def _propagate_carry(self):
-        i = len(self.out) - 1
-        while self.out[i] == 0xFF:
-            self.out[i] = 0
-            i -= 1
-        self.out[i] += 1
-
-    def _encode_span(self, cum_lo: int, cum_hi: int, total: int):
-        r = self.range // total
-        self.low += r * cum_lo
-        if cum_hi == total:
-            self.range -= r * cum_lo  # top symbol absorbs the rounding slack
-        else:
-            self.range = r * (cum_hi - cum_lo)
-        if self.low > _MASK32:
-            self._propagate_carry()
-            self.low &= _MASK32
-        while self.range < _TOP:
-            self.out.append((self.low >> 24) & 0xFF)
-            self.low = (self.low << 8) & _MASK32
-            self.range <<= 8
+    def encode_spans(self, lo, hi, total: int = TOTAL):
+        """Encode a sequence of symbols given by their spans [lo, hi) out of
+        `total` (two integer arrays); a symbol of an integer CDF row is the
+        span lo = cdf[symbol], hi = cdf[symbol + 1]."""
+        lo = np.asarray(lo, dtype=np.int64)
+        hi = np.asarray(hi, dtype=np.int64)
+        if np.any(lo < 0) or np.any(hi > total) or np.any(lo >= hi):
+            raise InvalidCdf(f"a span has zero width or leaves 0..{total}")
+        low, rng, out = self.low, self.range, self.out
+        for cum_lo, cum_hi in zip(lo.tolist(), hi.tolist()):
+            r = rng // total
+            low += r * cum_lo
+            if cum_hi == total:
+                rng -= r * cum_lo  # top symbol absorbs the rounding slack
+            else:
+                rng = r * (cum_hi - cum_lo)
+            if low > _MASK32:  # carry into the bytes already out
+                i = len(out) - 1
+                while out[i] == 0xFF:
+                    out[i] = 0
+                    i -= 1
+                out[i] += 1
+                low &= _MASK32
+            while rng < _TOP:
+                out.append(low >> 24)  # low < 2^32 once carried
+                low = (low << 8) & _MASK32
+                rng <<= 8
+        self.low, self.range = low, rng
 
     def encode_symbol(self, symbol: int, cdf):
         """Encode one symbol against an integer CDF (cdf[0]=0, cdf[M]=65536)."""
         _check_cdf(cdf)
-        lo, hi = int(cdf[symbol]), int(cdf[symbol + 1])
-        if lo >= hi:
-            raise InvalidCdf(f"symbol {symbol} has zero width")
-        self._encode_span(lo, hi, TOTAL)
-
-    def encode_spans(self, lo, hi):
-        """Encode a sequence of symbols given by their spans [lo, hi) out of
-        TOTAL (two integer arrays), as encode_symbol codes one symbol with
-        lo = cdf[symbol] and hi = cdf[symbol + 1]."""
-        lo = np.asarray(lo, dtype=np.int64)
-        hi = np.asarray(hi, dtype=np.int64)
-        if np.any(lo < 0) or np.any(hi > TOTAL) or np.any(lo >= hi):
-            raise InvalidCdf("a span has zero width or leaves 0..TOTAL")
-        for cum_lo, cum_hi in zip(lo.tolist(), hi.tolist()):
-            self._encode_span(cum_lo, cum_hi, TOTAL)
+        self.encode_spans((int(cdf[symbol]),), (int(cdf[symbol + 1]),))
 
     def encode_uniform_symbol(self, symbol: int, alphabet: int):
-        self._encode_span(symbol, symbol + 1, alphabet)
+        self.encode_spans((symbol,), (symbol + 1,), total=alphabet)
 
     def finish(self) -> bytes:
         for _ in range(4):
@@ -85,81 +85,109 @@ class RangeEncoder:
 class RangeDecoder:
     def __init__(self, data: bytes):
         self.data = data
-        self.pos = 0
+        # the first four bytes, zero-padded as the encoder's flush mirrors
+        self.pos = min(4, len(data))
+        self.code = int.from_bytes(bytes(data[:4]).ljust(4, b"\0"), "big")
         self.range = _MASK32
-        self.code = 0
-        for _ in range(4):
-            self.code = (self.code << 8) | self._next_byte()
 
-    def _next_byte(self) -> int:
-        if self.pos < len(self.data):
-            b = self.data[self.pos]
-            self.pos += 1
-            return b
-        return 0  # mirrored zero-padding of the encoder flush
+    def decode_table(self, table, total: int = TOTAL):
+        """Decode one symbol against each row of an integer CDF table (rows,
+        M + 1), every row running from 0 to `total`; returns the symbols.
 
-    def _decode_span(self, cum_lookup, total: int) -> int:
-        r = self.range // total
-        dv = min(self.code // r, total - 1)
-        symbol, cum_lo, cum_hi = cum_lookup(dv)
-        self.code -= r * cum_lo
-        if cum_hi == total:
-            self.range -= r * cum_lo
-        else:
-            self.range = r * (cum_hi - cum_lo)
-        if self.code >= self.range:
-            raise CorruptStream("decoder state outside the current interval")
-        while self.range < _TOP:
-            # code < range < 2^24 here, so the shift stays within 32 bits
-            self.code = (self.code << 8) | self._next_byte()
-            self.range <<= 8
-        return symbol
+        Each row is searched in place, by bisect over a memoryview of the
+        flattened table (whose items are Python ints), and renormalization
+        reads past the end of the data as zero bytes."""
+        table = np.ascontiguousarray(table, dtype=np.int64)
+        n, width = table.shape
+        if n and (np.any(table[:, 0] != 0) or np.any(table[:, -1] != total)):
+            raise InvalidCdf(f"a cdf row does not run from 0 to {total}")
+        flat = memoryview(table.reshape(-1))
+        data, end, pos = self.data, len(self.data), self.pos
+        code, rng = self.code, self.range
+        last = total - 1
+        out = []
+        for base in range(0, n * width, width):
+            r = rng // total
+            dv = code // r
+            if dv > last:
+                dv = last
+            # flat[base] = 0 <= dv < total = flat[base + width - 1]
+            i = bisect_right(flat, dv, base, base + width) - 1
+            cum_lo = flat[i]
+            cum_hi = flat[i + 1]
+            code -= r * cum_lo
+            if cum_hi == total:
+                rng -= r * cum_lo
+            else:
+                rng = r * (cum_hi - cum_lo)
+            if code >= rng:
+                raise CorruptStream("decoder state outside the current interval")
+            while rng < _TOP:
+                # code < range < 2^24 here, so the shift stays within 32 bits
+                if pos < end:
+                    code = (code << 8) | data[pos]
+                    pos += 1
+                else:
+                    code <<= 8
+                rng <<= 8
+            out.append(i - base)
+        self.code, self.range, self.pos = code, rng, pos
+        return np.array(out, dtype=np.int64)
 
     def decode_symbol(self, cdf) -> int:
-        """Decode one symbol; `cdf` is a sequence of Python ints (a list or
-        an integer memoryview) or an ndarray, which is converted once."""
-        if isinstance(cdf, np.ndarray):
-            cdf = cdf.tolist()
-        _check_cdf(cdf)
-
-        def lookup(dv):
-            s = bisect_right(cdf, dv) - 1
-            return s, cdf[s], cdf[s + 1]
-
-        return self._decode_span(lookup, TOTAL)
+        """Decode one symbol against one integer CDF row (a sequence of
+        ints or an ndarray)."""
+        return int(self.decode_table(np.reshape(cdf, (1, -1)))[0])
 
     def decode_uniform_symbol(self, alphabet: int) -> int:
-        return self._decode_span(lambda dv: (dv, dv, dv + 1), alphabet)
+        return int(self.decode_table(_uniform_table(1, alphabet),
+                                     total=alphabet)[0])
+
+
+def _uniform_table(n: int, alphabet: int):
+    """n rows of the uniform CDF 0, 1, .., alphabet out of `alphabet`."""
+    return np.broadcast_to(np.arange(alphabet + 1), (n, alphabet + 1))
 
 
 def encode_with_cdfs(symbols, cdfs) -> bytes:
-    """Encode symbols[i] against cdfs[i] (or a single shared cdf)."""
-    enc = RangeEncoder()
+    """Encode symbols[i] against cdfs[i] (or a single shared 1-D cdf)."""
+    symbols = np.asarray(symbols, dtype=np.int64).reshape(-1)
     if isinstance(cdfs, np.ndarray) and cdfs.ndim == 1:
-        cdfs = [cdfs.tolist()] * len(symbols)
-    for s, cdf in zip(symbols, cdfs):
-        enc.encode_symbol(int(s), cdf)
+        _check_cdf(cdfs)
+        lo, hi = cdfs[symbols], cdfs[symbols + 1]
+    else:
+        lo, hi = [], []
+        for s, cdf in zip(symbols.tolist(), cdfs):
+            _check_cdf(cdf)
+            lo.append(int(cdf[s]))
+            hi.append(int(cdf[s + 1]))
+    enc = RangeEncoder()
+    enc.encode_spans(lo, hi)
     return enc.finish()
 
 
 def decode_with_cdfs(data: bytes, cdfs, n: int | None = None):
+    """Decode against cdfs[i] per symbol: a table, a sequence of rows, or
+    one shared 1-D cdf for `n` symbols."""
     dec = RangeDecoder(data)
-    if isinstance(cdfs, np.ndarray) and cdfs.ndim == 1:
-        assert n is not None
-        cdfs = [cdfs.tolist()] * n
-    return np.array([dec.decode_symbol(cdf) for cdf in cdfs], dtype=np.int64)
+    if isinstance(cdfs, np.ndarray):
+        if cdfs.ndim == 1:
+            assert n is not None
+            cdfs = np.broadcast_to(cdfs, (n, len(cdfs)))
+        return dec.decode_table(cdfs)
+    return np.array([dec.decode_table(np.reshape(cdf, (1, -1)))[0]
+                     for cdf in cdfs], dtype=np.int64)
 
 
 def encode_uniform(symbols, alphabet: int) -> bytes:
     """Fixed uniform model; length approaches n*log2(alphabet) bits."""
     assert alphabet >= 2
+    symbols = np.asarray(symbols, dtype=np.int64)
     enc = RangeEncoder()
-    for s in symbols:
-        enc.encode_uniform_symbol(int(s), alphabet)
+    enc.encode_spans(symbols, symbols + 1, total=alphabet)
     return enc.finish()
 
 
 def decode_uniform(data: bytes, n: int, alphabet: int):
-    dec = RangeDecoder(data)
-    return np.array([dec.decode_uniform_symbol(alphabet) for _ in range(n)],
-                    dtype=np.int64)
+    return RangeDecoder(data).decode_table(_uniform_table(n, alphabet),
+                                           total=alphabet)

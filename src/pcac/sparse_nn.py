@@ -246,10 +246,13 @@ class ModelConfig:
 
 
 class ScaleEncoder:
-    """conv + max-pool, residual blocks, then latent / forwarding branches."""
+    """conv + max-pool, residual blocks, then latent / forwarding branches.
+    The top scale's forward has no reader: it keeps its conv's weights (they
+    are part of checkpoints and the digest) but does not run it."""
 
     def __init__(self, scale: int, cfg: ModelConfig, rng):
         self.scale = scale
+        self.forwards = scale < cfg.num_scales
         c_in = 3 if scale == 1 else cfg.hidden
         h = cfg.hidden
         self.head = SparseConv(c_in, h, 3, rng)
@@ -267,22 +270,26 @@ class ScaleEncoder:
         return out
 
     def __call__(self, x: Node, maps: KernelMapCache):
-        """x lives on level scale-1 coords; outputs live on level `scale`."""
+        """x lives on level scale-1 coords; outputs live on level `scale`,
+        the forward None at the top scale."""
         h = ad.relu(self.head(x, maps.self_map(self.scale - 1)))
         h = max_pool2(h, maps.pool_children(self.scale))
         fmap = maps.self_map(self.scale)
         for block in self.blocks:
             h = block(h, fmap)
         latent_pre = self.to_latent(h, fmap)
-        forward = self.to_forward(h, fmap)
+        forward = self.to_forward(h, fmap) if self.forwards else None
         return latent_pre, forward
 
 
 class ScaleDecoder:
-    """conv, residual blocks, transpose-conv upsampler, parameter/forward heads."""
+    """conv, residual blocks, transpose-conv upsampler, parameter/forward
+    heads. As in ScaleEncoder, the bottom scale keeps its forward conv's
+    weights but does not run it: no decoder reads its forward."""
 
     def __init__(self, scale: int, cfg: ModelConfig, rng):
         self.scale = scale
+        self.forwards = scale > 1
         h = cfg.hidden
         c_in = cfg.latent_channels if scale == cfg.num_scales \
             else cfg.latent_channels + h
@@ -303,7 +310,8 @@ class ScaleDecoder:
         return out
 
     def __call__(self, latent: Node, forwarded, maps: KernelMapCache):
-        """latent (+ forwarded feature) on level `scale`; outputs on scale-1."""
+        """latent (+ forwarded feature) on level `scale`; outputs on
+        scale-1, the forward None at the bottom scale."""
         x = latent if forwarded is None else ad.concat_cols(latent, forwarded)
         fmap = maps.self_map(self.scale)
         h = ad.relu(self.conv_in(x, fmap))
@@ -312,5 +320,5 @@ class ScaleDecoder:
         up = ad.relu(self.upsample(h, maps.up_map(self.scale)))
         fmap_fine = maps.self_map(self.scale - 1)
         params = self.to_params(up, fmap_fine)
-        forward = self.to_forward(up, fmap_fine)
+        forward = self.to_forward(up, fmap_fine) if self.forwards else None
         return params, forward

@@ -19,7 +19,7 @@ from pcac.errors import (ChecksumFailure, CorruptStream, DesyncError,
                          DigestMismatch, DuplicateCoordinate, EmptyGeometry,
                          InvalidCdf, ModelMismatch, PcacError, ShapeMismatch,
                          SymbolOutOfRange)
-from pcac.sparse_nn import ModelConfig
+from pcac.sparse_nn import ModelConfig, SparseConv
 from pcac.tensor_core import sort_coords
 
 CFG = ModelConfig(hidden=8, res_blocks=1, mixtures=2)
@@ -134,9 +134,9 @@ def test_encode_is_deterministic_and_cdfs_agree(model):
     np.testing.assert_array_equal(back, rgb[sort_coords(coords)])
 
 
-def test_cdf_rows_are_memoryview_slices_of_block_tables(monkeypatch):
-    # the decoder's rows come block by block as memoryview slices; together
-    # they are the pass's table computed in one call, bit for bit
+def test_cdf_block_tables_are_the_one_call_table(monkeypatch):
+    # the decoder's rows come block by block; together they are the pass's
+    # table computed in one call, bit for bit
     rng = np.random.default_rng(9)
     grid = lh.SymbolGrid(7)
     params = (rng.normal(size=(9, 2, 3)), rng.normal(size=(9, 2, 3)),
@@ -144,14 +144,10 @@ def test_cdf_rows_are_memoryview_slices_of_block_tables(monkeypatch):
     monkeypatch.setattr(codec, "_CDF_CHUNK_ROWS", 4)
     tables = list(codec._cdf_tables(grid, params))
     assert [len(t) for t in tables] == [8, 8, 2]
-    rows = [r for t in tables for r in codec._rows(t)]
     table = lh.pointwise_cdf(*lh.mixture_terms(*params), grid,
                              np.arange(8)).reshape(-1, 8)
-    assert all(isinstance(r, memoryview) for r in rows)
-    assert [r.tolist() for r in rows] == table.tolist()
-    assert all(type(r[3]) is int for r in rows)
-    assert hashlib.sha256(b"".join(rows)).hexdigest() == \
-        hashlib.sha256(table.tobytes()).hexdigest()
+    assert hashlib.sha256(b"".join(t.tobytes() for t in tables)).hexdigest() \
+        == hashlib.sha256(table.tobytes()).hexdigest()
 
 
 def test_cdf_block_size_is_not_part_of_the_format(model, monkeypatch):
@@ -267,6 +263,35 @@ def test_encoder_rejects_zero_width_span(model, monkeypatch):
                         lambda *args: 1.0 - exact(*args))
     with pytest.raises(InvalidCdf):
         codec.encode(coords, rgb, model)
+
+
+def test_unread_forward_convs_never_run(model, monkeypatch):
+    # no scale reads the top encoder's or the bottom decoder's forward: their
+    # convs keep their weights (checkpoints, digest) but never run
+    unread = {id(model.encoders[-1].to_forward),
+              id(model.decoders[0].to_forward)}
+    names = {name for name, _ in model.named_parameters()}
+    assert {"enc3.to_forward.weight", "dec1.to_forward.weight"} <= names
+    called = set()
+    conv = SparseConv.__call__
+
+    def spy(self, x, fmap):
+        called.add(id(self))
+        return conv(self, x, fmap)
+
+    monkeypatch.setattr(SparseConv, "__call__", spy)
+    coords, rgb = random_block(np.random.default_rng(17))
+    stream = codec.encode(coords, rgb, model)
+    codec.decode(coords, stream, model)
+    for k in (1, 2):
+        codec.decode_scalable(coords, codec.truncate_bitstream(stream, k),
+                              model)
+    codec.block_loss(model, *codec.prepare_block(coords, rgb,
+                                                 CFG.num_scales))
+    assert not called & unread
+    # the forwards that are read still run
+    assert {id(model.encoders[0].to_forward),
+            id(model.decoders[1].to_forward)} <= called
 
 
 def test_rate_bounds(model):
@@ -423,6 +448,52 @@ def test_mutated_container_raises_pcac_error(model, coded, target, mutation):
             codec.decode(coords, _mutate(stream, mutation), model)
         else:
             codec.decode_blocks(_mutate(data, mutation), [coords], model)
+
+
+def test_header_only_prefix_needs_the_top_chunk(model, coded):
+    # a scalable decode estimates missing chunks from the top latent, so it
+    # needs the top chunk; lossless decode names the full chunk count
+    coords, stream, _ = coded
+    header_only = codec.truncate_bitstream(stream, 0)
+    assert len(header_only) == codec.header_size(CFG.num_scales)
+    with pytest.raises(CorruptStream, match="at least the top chunk"):
+        codec.decode_scalable(coords, header_only, model)
+    with pytest.raises(CorruptStream, match="expected 4 chunks, found 0"):
+        codec.decode(coords, header_only, model)
+
+
+def with_flipped_byte(stream, chunk, index):
+    """The stream with byte `index` of chunk `chunk`'s payload flipped and
+    the chunk's CRC32 recomputed, so the flip reaches the range decoder."""
+    buf = bytearray(stream)
+    start = codec.header_size(CFG.num_scales) + 8
+    lengths = codec.chunk_lengths(stream)
+    start += sum(8 + n for n in lengths[:chunk])
+    buf[start + index] ^= 0xFF
+    buf[start - 4:start] = zlib.crc32(
+        buf[start:start + lengths[chunk]]).to_bytes(4, "little")
+    return bytes(buf)
+
+
+def test_flipped_coded_byte_never_decodes_to_wrong_rgb(model):
+    # a flip behind a valid chunk CRC32 raises CorruptStream (the decoder's
+    # state leaves its interval) or DesyncError (the span hash differs), or
+    # is absorbed by the flush slack and decodes the true RGB
+    coords, rgb = random_block(np.random.default_rng(16), lo=100, hi=200)
+    stream = codec.encode(coords, rgb, model)
+    truth = rgb[sort_coords(coords)]
+    raised = 0
+    for chunk, length in enumerate(codec.chunk_lengths(stream)):
+        coded = length - (4 if chunk else 0)  # the span hash is no coder byte
+        for index in sorted({0, 1, coded // 2, coded - 1}):
+            try:
+                back = codec.decode(coords, with_flipped_byte(
+                    stream, chunk, index), model)
+            except (CorruptStream, DesyncError):
+                raised += 1
+            else:
+                np.testing.assert_array_equal(back, truth)
+    assert raised >= 8
 
 
 def test_scalable_decode_modes(model):

@@ -522,3 +522,49 @@ def test_coding_steps_keep_float32(dtype):
         rows = lh.pointwise_cdf(*terms, lh.RGB_GRID, np.arange(257))
         assert rows.dtype == np.int64
         assert np.diff(rows, axis=-1).min() >= 1
+
+
+# `_half_logits` and `mixture_cdf` as written with np.moveaxis, whose
+# (K, ..., E) buffer numpy laid out point-major
+def _moveaxis_k_first(a):
+    return np.moveaxis(a, -1, 0)[..., None]
+
+
+def _moveaxis_half_logits(mu, s, edges):
+    t = np.subtract(np.asarray(edges, dtype=mu.dtype), _moveaxis_k_first(mu))
+    np.multiply(t, _moveaxis_k_first(0.5 / s), out=t)
+    return t
+
+
+def _moveaxis_mixture_cdf(w, mu, s, edges):
+    t = _moveaxis_half_logits(mu, s, edges)
+    np.tanh(t, out=t)
+    np.add(t, 1.0, out=t)
+    np.multiply(t, _moveaxis_k_first(0.5 * w), out=t)
+    cdf = t[0].copy()
+    for term in t[1:]:
+        cdf += term
+    return cdf
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_k_first_layout_is_bit_exact(dtype):
+    # the C-contiguous (K, ..., E) buffer gives bit for bit the values of
+    # the moveaxis layout, for latent (N, C, K) and RGB (N, K) mixtures, at
+    # two edges per symbol and at full rows, on 0, 1 and many rows
+    rng = np.random.default_rng(30)
+    for lead, grid in (((), lh.RGB_GRID), ((5,), lh.SymbolGrid(26))):
+        for n in (0, 1, 45):
+            shape = (n, *lead, 10)
+            w, mu, s = lh.mixture_terms(
+                *(rng.normal(size=shape).astype(dtype) for _ in range(3)))
+            sym = rng.integers(0, grid.num_symbols, size=shape[:-1])
+            two = grid.cdf_edges[np.stack([sym, sym + 1], axis=-1)]
+            for edges in (two, grid.cdf_edges):
+                t = lh._half_logits(mu, s, edges)
+                assert t.flags.c_contiguous and t.dtype == dtype
+                assert np.array_equal(t, _moveaxis_half_logits(mu, s, edges))
+                cdf = lh.mixture_cdf(w, mu, s, edges)
+                assert cdf.dtype == dtype
+                assert np.array_equal(
+                    cdf, _moveaxis_mixture_cdf(w, mu, s, edges))

@@ -171,3 +171,178 @@ def test_encode_spans_rejects_bad_spans():
         with pytest.raises(InvalidCdf):
             enc.encode_spans(lo, hi)
         assert enc.finish() == bytes(4)  # nothing was coded
+
+
+# --------------------------------------------- the per-symbol coder, oracle
+
+_MASK32 = 0xFFFFFFFF
+
+
+def _reference_encode(spans, total=rc.TOTAL):
+    """Bytes of coding each (lo, hi) span out of `total`, one symbol per
+    step in plain Python, as the coder was first written."""
+    low, rng, out = 0, _MASK32, bytearray()
+    for lo, hi in spans:
+        r = rng // total
+        low += r * lo
+        rng = rng - r * lo if hi == total else r * (hi - lo)
+        if low > _MASK32:
+            i = len(out) - 1
+            while out[i] == 0xFF:
+                out[i] = 0
+                i -= 1
+            out[i] += 1
+            low &= _MASK32
+        while rng < 1 << 24:
+            out.append((low >> 24) & 0xFF)
+            low = (low << 8) & _MASK32
+            rng <<= 8
+    for _ in range(4):
+        out.append((low >> 24) & 0xFF)
+        low = (low << 8) & _MASK32
+    return bytes(out)
+
+
+def _reference_decode(data, rows, total=rc.TOTAL):
+    """The symbol of each CDF row (a list of ints) and the final (code,
+    range, pos), one symbol per step in plain Python."""
+    pos = 0
+
+    def next_byte():
+        nonlocal pos
+        if pos < len(data):
+            pos += 1
+            return data[pos - 1]
+        return 0
+
+    code, rng = 0, _MASK32
+    for _ in range(4):
+        code = (code << 8) | next_byte()
+    symbols = []
+    for cdf in rows:
+        r = rng // total
+        dv = min(code // r, total - 1)
+        s = max(m for m in range(len(cdf) - 1) if cdf[m] <= dv)
+        code -= r * cdf[s]
+        rng = rng - r * cdf[s] if cdf[s + 1] == total \
+            else r * (cdf[s + 1] - cdf[s])
+        if code >= rng:
+            raise CorruptStream("oracle state outside the interval")
+        while rng < 1 << 24:
+            code = (code << 8) | next_byte()
+            rng <<= 8
+        symbols.append(s)
+    return symbols, (code, rng, pos)
+
+
+def _state(dec):
+    return dec.code, dec.range, dec.pos
+
+
+def _random_table(rng, rows, width, zero_width=False):
+    """CDF rows of `width` entries (one symbol at width 2); with
+    zero_width, some symbols get none."""
+    M = width - 1
+    p = rng.dirichlet(np.ones(M) * 0.5, size=rows)
+    if zero_width and M > 2:
+        p[:, rng.integers(0, M, size=2)] = 0.0
+        p /= p.sum(axis=-1, keepdims=True)
+    F = np.zeros((rows, width))
+    np.cumsum(p, axis=-1, out=F[:, 1:])
+    F[:, -1] = 1.0
+    if zero_width:
+        return np.floor(F * rc.TOTAL).astype(np.int64)
+    return np.floor(F * (rc.TOTAL - M)).astype(np.int64) + np.arange(width)
+
+
+def _symbols_of(rng, table):
+    """A symbol of nonzero width in each row."""
+    widths = np.diff(table, axis=-1)
+    return np.array([rng.choice(np.flatnonzero(w)) for w in widths],
+                    dtype=np.int64)
+
+
+def test_encode_spans_matches_reference():
+    rng = np.random.default_rng(20)
+    for width in (2, 3, 27, 257, 301):
+        table = _random_table(rng, 200, width)
+        syms = _symbols_of(rng, table)
+        rows = np.arange(len(syms))
+        lo, hi = table[rows, syms], table[rows, syms + 1]
+        enc = rc.RangeEncoder()
+        enc.encode_spans(lo, hi)
+        assert enc.finish() == _reference_encode(zip(lo.tolist(),
+                                                     hi.tolist()))
+    for alphabet in range(2, 301, 7):
+        syms = rng.integers(0, alphabet, size=150)
+        assert rc.encode_uniform(syms, alphabet) == _reference_encode(
+            [(s, s + 1) for s in syms.tolist()], alphabet)
+
+
+@pytest.mark.parametrize("zero_width", [False, True])
+def test_decode_table_matches_reference(zero_width):
+    rng = np.random.default_rng(21 + zero_width)
+    for width in (2, 3, 5, 27, 257, 301):
+        # several tables in a row, including 0- and 1-row tables
+        tables = [_random_table(rng, n, width, zero_width)
+                  for n in (0, 1, 64, 0, 17, 1)]
+        table = np.concatenate(tables)
+        syms = _symbols_of(rng, table)
+        rows = np.arange(len(syms))
+        data = _reference_encode(zip(table[rows, syms].tolist(),
+                                     table[rows, syms + 1].tolist()))
+        dec = rc.RangeDecoder(data)
+        got = np.concatenate([dec.decode_table(t) for t in tables])
+        expect, state = _reference_decode(data, table.tolist())
+        assert got.tolist() == expect == syms.tolist()
+        assert _state(dec) == state
+
+
+def test_decode_table_uniform_matches_reference():
+    rng = np.random.default_rng(23)
+    for alphabet in (2, 26, 255, 300):
+        syms = rng.integers(0, alphabet, size=130)
+        data = rc.encode_uniform(syms, alphabet)
+        uniform = np.tile(np.arange(alphabet + 1), (len(syms), 1))
+        dec = rc.RangeDecoder(data)
+        got = np.concatenate([dec.decode_table(uniform[lo:lo + 50],
+                                               total=alphabet)
+                              for lo in range(0, len(syms), 50)])
+        expect, state = _reference_decode(data, uniform.tolist(), alphabet)
+        assert got.tolist() == expect == syms.tolist()
+        assert _state(dec) == state
+        np.testing.assert_array_equal(
+            rc.decode_uniform(data, len(syms), alphabet), syms)
+
+
+def test_decode_table_on_garbage_matches_reference():
+    # on bytes no encoder wrote, the table loop reads what the per-symbol
+    # loop reads, or raises where it raises
+    rng = np.random.default_rng(24)
+    table = _random_table(rng, 300, 9)
+    for trial in range(20):
+        data = rng.integers(0, 256, size=int(rng.integers(0, 40))).astype(
+            np.uint8).tobytes()
+        try:
+            expect, state = _reference_decode(data, table.tolist())
+        except CorruptStream:
+            with pytest.raises(CorruptStream):
+                rc.RangeDecoder(data).decode_table(table)
+            continue
+        dec = rc.RangeDecoder(data)
+        assert dec.decode_table(table).tolist() == expect
+        assert _state(dec) == state
+
+
+def test_decode_table_rejects_bad_end_points():
+    good = np.array([[0, 30000, 65536], [0, 1, 65536]])
+    for bad in ([[0, 30000, 65536], [0, 1, 65535]],
+                [[1, 30000, 65536], [0, 1, 65536]],
+                [[0, 30000, 65537]]):
+        dec = rc.RangeDecoder(b"\x12\x34\x56\x78\x9a")
+        with pytest.raises(InvalidCdf):
+            dec.decode_table(np.array(bad))
+        assert _state(dec) == (0x12345678, 0xFFFFFFFF, 4)  # nothing read
+    with pytest.raises(InvalidCdf):  # a uniform table out of the wrong total
+        rc.RangeDecoder(b"\0" * 8).decode_table(np.arange(27)[None], total=25)
+    assert rc.RangeDecoder(b"\0" * 8).decode_table(good).shape == (2,)

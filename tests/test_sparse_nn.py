@@ -284,14 +284,21 @@ def test_encoder_decoder_shapes_and_coordinate_sets():
         enc = ScaleEncoder(n, cfg, rng)
         latent, x = enc(x, maps)
         assert latent.value.shape == (len(pyr.coords[n]), cfg.latent_channels)
-        assert x.value.shape == (len(pyr.coords[n]), cfg.hidden)
+        if n == 3:  # no encoder reads the top scale's forward
+            assert x is None
+        else:
+            assert x.value.shape == (len(pyr.coords[n]), cfg.hidden)
         latents.append(latent)
     for n in range(3, 0, -1):
         dec = ScaleDecoder(n, cfg, rng)
         params, forwarded = dec(latents[n - 1], forwarded, maps)
         assert params.value.shape == (len(pyr.coords[n - 1]),
                                       cfg.decoder_head_width(n))
-        assert forwarded.value.shape == (len(pyr.coords[n - 1]), cfg.hidden)
+        if n == 1:  # no decoder reads the bottom scale's forward
+            assert forwarded is None
+        else:
+            assert forwarded.value.shape == (len(pyr.coords[n - 1]),
+                                             cfg.hidden)
 
 
 def test_named_parameters_unique_and_complete():
