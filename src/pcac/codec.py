@@ -170,8 +170,8 @@ class _Undrawn:
         return np.empty(size)
 
 
-def _read_checkpoint(path):
-    with np.load(path, allow_pickle=False) as data:
+def _read_checkpoint(f):
+    with np.load(f, allow_pickle=False) as data:
         names = set(data.files)
         if "__meta__" not in names:
             raise ModelMismatch("checkpoint has no metadata")
@@ -215,14 +215,18 @@ class ModelCheckpoint:
     @classmethod
     def load(cls, path) -> "ModelCheckpoint":
         """Read a checkpoint, stacked or per-offset layout, compressed or not;
-        a cut or foreign file, bad metadata or a missing or misshapen array
-        raise ModelMismatch, and weights that do not match the stored digest
-        raise DigestMismatch."""
-        try:
-            model, meta = _read_checkpoint(path)
-        except (ValueError, EOFError, KeyError, TypeError, AttributeError,
-                zipfile.BadZipFile, zlib.error) as exc:
-            raise ModelMismatch(f"malformed checkpoint: {exc!r}") from exc
+        a cut or foreign file (an archive offset out of the file included),
+        an archive feature zipfile does not support, bad metadata or a
+        missing or misshapen array raise ModelMismatch, and weights that do
+        not match the stored digest raise DigestMismatch. A file that cannot
+        be opened raises OSError."""
+        with open(path, "rb") as f:
+            try:
+                model, meta = _read_checkpoint(f)
+            except (ValueError, EOFError, KeyError, TypeError, AttributeError,
+                    NotImplementedError, OSError, zipfile.BadZipFile,
+                    zlib.error) as exc:
+                raise ModelMismatch(f"malformed checkpoint: {exc!r}") from exc
         stored = meta.pop("digest", None)
         if stored is not None and stored != model.digest().hex():
             raise DigestMismatch("checkpoint digest does not match its weights")

@@ -9,8 +9,7 @@ import numpy as np
 
 from .errors import (EmptyGeometry, MalformedHeader, MissingProperty,
                      OutOfRange, SymbolOutOfRange, UnsupportedFormat)
-from .tensor_core import (COORD_BITS, SparseTensor, build_sparse_tensor,
-                          pack_coords)
+from .tensor_core import COORD_BITS, SparseTensor, sorted_runs
 
 _PLY_DTYPES = {
     "char": "i1", "int8": "i1",
@@ -191,18 +190,16 @@ def voxelize(pc: PointCloud, bit_depth: int) -> SparseTensor:
         raise OutOfRange(f"positions outside [0, 2^{bit_depth})")
     coords = np.floor(pos).astype(np.int64)
     colors = np.asarray(pc.colors, dtype=np.float64)
-    keys = pack_coords(coords)
-    order = np.argsort(keys, kind="stable")
-    keys, coords, colors = keys[order], coords[order], colors[order]
-    group_start = np.ones(len(keys), dtype=bool)
-    group_start[1:] = keys[1:] != keys[:-1]
-    group_id = np.cumsum(group_start) - 1
+    order, first = sorted_runs(coords)
+    coords, colors = coords[order], colors[order]
+    group_id = np.cumsum(first) - 1
     n_groups = group_id[-1] + 1
     sums = np.zeros((n_groups, colors.shape[1]))
     np.add.at(sums, group_id, colors)
     counts = np.bincount(group_id, minlength=n_groups).astype(np.float64)
     means = _round_half_away(sums / counts[:, None])
-    return build_sparse_tensor(coords[group_start], means)
+    # coords[first] is sorted and unique already, as a SparseTensor needs
+    return SparseTensor(coords[first], means)
 
 
 @dataclass
@@ -219,19 +216,16 @@ class Block:
 
 
 def partition_blocks(tensor: SparseTensor, size: int = 64):
-    """Split a tensor into grid-aligned blocks, sorted by origin."""
+    """Split a tensor into grid-aligned blocks, sorted by origin. A block's
+    rows keep the tensor's order, so its local coords are sorted and unique
+    as the tensor's are."""
     origins = (tensor.coords // size) * size
-    keys = pack_coords(origins)
-    order = np.argsort(keys, kind="stable")
-    keys_sorted = keys[order]
-    starts = np.ones(len(keys_sorted), dtype=bool)
-    starts[1:] = keys_sorted[1:] != keys_sorted[:-1]
-    bounds = np.flatnonzero(starts).tolist() + [len(keys_sorted)]
+    order, first = sorted_runs(origins)
+    bounds = np.flatnonzero(first).tolist() + [len(order)]
     blocks = []
     for a, b in zip(bounds[:-1], bounds[1:]):
         rows = order[a:b]
         origin = origins[rows[0]]
-        local = tensor.coords[rows] - origin
-        blocks.append(Block(origin, build_sparse_tensor(
-            local, tensor.features[rows])))
+        blocks.append(Block(origin, SparseTensor(tensor.coords[rows] - origin,
+                                                 tensor.features[rows])))
     return blocks

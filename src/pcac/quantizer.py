@@ -40,24 +40,17 @@ def dequantize(symbols, grid: SymbolGrid):
 
 
 def soft_assignment(values, grid: SymbolGrid):
-    """Differentiable surrogate: softmax(-(v-c)^2 / T) expectation of centers."""
+    """Differentiable surrogate, softmax(-(v-c)^2 / T) expectation of the
+    centers, and its elementwise derivative d/dv, from one softmax."""
     v = np.asarray(values, dtype=np.float64)[..., None]
-    d2 = -((v - grid.centers) ** 2) / TEMPERATURE
+    c = grid.centers
+    d2 = -((v - c) ** 2) / TEMPERATURE
     d2 = d2 - d2.max(axis=-1, keepdims=True)
     w = np.exp(d2)
     w /= w.sum(axis=-1, keepdims=True)
-    return (w * grid.centers).sum(axis=-1), w
-
-
-def _soft_grad(values, grid: SymbolGrid):
-    """d(soft_assignment)/dv, elementwise."""
-    v = np.asarray(values, dtype=np.float64)[..., None]
-    c = grid.centers
-    _, w = soft_assignment(values, grid)
     da = -2.0 * (v - c) / TEMPERATURE  # d logits / dv
-    mean_da = (w * da).sum(axis=-1, keepdims=True)
-    dw = w * (da - mean_da)
-    return (dw * c).sum(axis=-1)
+    dw = w * (da - (w * da).sum(axis=-1, keepdims=True))
+    return (w * c).sum(axis=-1), (dw * c).sum(axis=-1)
 
 
 def quantize_soft(x: Node, grid: SymbolGrid, mode: str = "ste") -> Node:
@@ -68,12 +61,9 @@ def quantize_soft(x: Node, grid: SymbolGrid, mode: str = "ste") -> Node:
     mode="soft": forward emits the soft surrogate itself (smooth end to end;
     used by gradient-checking oracles).
     """
-    if mode == "ste":
-        _, deq = quantize_hard(x.value, grid)
-        fwd = deq
-    elif mode == "soft":
-        fwd, _ = soft_assignment(x.value, grid)
-    else:
+    if mode not in ("ste", "soft"):
         raise ValueError(f"unknown quantizer mode {mode!r}")
-    dsoft = _soft_grad(x.value, grid)
-    return Node(fwd, (x,), lambda g: (g * dsoft,))
+    # a non-finite input raises NonFiniteInput here, before any softmax
+    hard = quantize_hard(x.value, grid)[1] if mode == "ste" else None
+    soft, dsoft = soft_assignment(x.value, grid)
+    return Node(soft if hard is None else hard, (x,), lambda g: (g * dsoft,))

@@ -35,44 +35,41 @@ def _neighbours(index: CoordIndex, out_coords, offsets, dilation: int):
                      for off in offsets]).T
 
 
-def _pairs(table):
-    """Per-column (input_row, output_row) pair lists of a neighbour table."""
-    return [(col[col >= 0], np.flatnonzero(col >= 0)) for col in table.T]
+def _table_pairs(table):
+    """A neighbour table, stored by column, read offset-major: the
+    (offset, row, entry) arrays of its present entries, column by column
+    and by row within a column."""
+    by_col = table.T
+    flat = np.flatnonzero(by_col >= 0)
+    offset, row = np.divmod(flat, by_col.shape[1])
+    return offset, row, by_col.take(flat)
 
 
 def build_kernel_map(in_coords, out_coords, kernel_size: int, dilation: int):
-    """Per-offset (input_row, output_row) pair lists: a pair (i, j) exists
-    for offset o exactly when in_coords[i] == out_coords[j] + o * dilation."""
-    return _pairs(_neighbours(CoordIndex(in_coords), out_coords,
-                              kernel_offsets(kernel_size), dilation))
+    """The map with a pair (i, j) at offset o exactly when
+    in_coords[i] == out_coords[j] + o * dilation."""
+    offset, row, entry = _table_pairs(_neighbours(
+        CoordIndex(in_coords), out_coords, kernel_offsets(kernel_size),
+        dilation))
+    return FusedKernelMap(offset, entry, row, len(in_coords), len(out_coords))
 
 
 class FusedKernelMap:
-    """A kernel map as concatenated (input row, output row) pair arrays, one
+    """A kernel map as offset-major (input row, output row) pair arrays, one
     slice per offset that has pairs. Within a slice no input row and no
     output row repeats, so a conv can gather and accumulate each offset's
     rows with plain fancy indexing."""
 
-    def __init__(self, pairs, n_in: int, n_out: int):
+    def __init__(self, offsets, rows_in, rows_out, n_in: int, n_out: int):
         self.n_in = n_in
         self.n_out = n_out
-        self.offset_slices = []  # (start, stop, offset_index)
-        parts_in, parts_out = [], []
-        start = 0
-        for oi, (rows_in, rows_out) in enumerate(pairs):
-            if len(rows_in) == 0:
-                continue
-            parts_in.append(np.asarray(rows_in, dtype=np.int64))
-            parts_out.append(np.asarray(rows_out, dtype=np.int64))
-            stop = start + len(rows_in)
-            self.offset_slices.append((start, stop, oi))
-            start = stop
-        if parts_in:
-            self.rows_in = np.concatenate(parts_in)
-            self.rows_out = np.concatenate(parts_out)
-        else:
-            self.rows_in = np.empty(0, dtype=np.int64)
-            self.rows_out = np.empty(0, dtype=np.int64)
+        self.rows_in = rows_in
+        self.rows_out = rows_out
+        counts = np.bincount(offsets).tolist()
+        stops = np.cumsum(counts).tolist()
+        self.offset_slices = [(stop - n, stop, oi)  # (start, stop, offset)
+                              for oi, (n, stop) in enumerate(zip(counts, stops))
+                              if n]
 
 
 class KernelMapCache:
@@ -96,20 +93,22 @@ class KernelMapCache:
                                         kernel_offsets(3)[:13],
                                         self.pyramid.stride(level))
             table[:, 13] = np.arange(len(c))
-            for o in range(13):  # c[i] == c[j] + o*s  <=>  c[j] == c[i] - o*s
-                rows = np.flatnonzero(table[:, o] >= 0)
-                table[table[rows, o], 26 - o] = rows
-            self._maps[key] = FusedKernelMap(_pairs(table), len(c), len(c))
+            # c[i] == c[j] + o*s  <=>  c[j] == c[i] - o*s
+            offset, row, entry = _table_pairs(table[:, :13])
+            table[entry, 26 - offset] = row
+            offset, row, entry = _table_pairs(table)
+            self._maps[key] = FusedKernelMap(offset, entry, row, len(c), len(c))
         return self._maps[key]
 
     def up_map(self, level: int) -> FusedKernelMap:
-        """Transpose-conv map from `level` down to `level - 1` (k=2)."""
+        """Transpose-conv map from `level` down to `level - 1` (k=2): the
+        child table with parents as inputs and children as outputs."""
         key = ("up", level)
         if key not in self._maps:
-            children = self._children(level)
-            pairs = [(b, a) for a, b in _pairs(children)]  # coarse -> fine
+            offset, parent, child = _table_pairs(self._children(level))
             self._maps[key] = FusedKernelMap(
-                pairs, len(children), len(self.pyramid.coords[level - 1]))
+                offset, parent, child, len(self.pyramid.coords[level]),
+                len(self.pyramid.coords[level - 1]))
         return self._maps[key]
 
     def pool_children(self, level: int):

@@ -42,9 +42,21 @@ def pack_coords(coords: np.ndarray) -> np.ndarray:
     return _keys(c)
 
 
+def sorted_runs(coords: np.ndarray):
+    """(order, first): the stable permutation that puts coords in canonical
+    lexicographic order, and a mask over the sorted coords that is True at
+    the first of each run of equal coordinates."""
+    keys = pack_coords(coords)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return order, first
+
+
 def sort_coords(coords: np.ndarray) -> np.ndarray:
     """Permutation that puts coords in canonical lexicographic order."""
-    return np.argsort(pack_coords(coords), kind="stable")
+    return sorted_runs(coords)[0]
 
 
 class CoordIndex:
@@ -94,18 +106,17 @@ def build_sparse_tensor(coords, features) -> SparseTensor:
     if len(features) != len(coords):
         raise ShapeMismatch(
             f"{len(features)} feature rows for {len(coords)} coordinates")
-    perm = sort_coords(coords)
+    perm, first = sorted_runs(coords)
     coords = coords[perm]
-    _reject_duplicates(pack_coords(coords), coords)
+    _reject_duplicates(first, coords)
     return SparseTensor(coords, features[perm])
 
 
-def _reject_duplicates(keys: np.ndarray, sorted_coords: np.ndarray):
-    """Raise DuplicateCoordinate if the sorted `keys` of `sorted_coords`
-    hold a coordinate twice."""
-    repeat = keys[1:] == keys[:-1]
-    if repeat.any():
-        coord = tuple(sorted_coords[int(np.argmax(repeat))].tolist())
+def _reject_duplicates(first: np.ndarray, sorted_coords: np.ndarray):
+    """Raise DuplicateCoordinate if `sorted_coords`, whose runs `first`
+    marks, hold a coordinate twice."""
+    if not first.all():
+        coord = tuple(sorted_coords[int(np.argmin(first))].tolist())
         raise DuplicateCoordinate(f"duplicate coordinate {coord}")
 
 
@@ -114,13 +125,8 @@ def downsample_coords(coords: np.ndarray, stride: int) -> np.ndarray:
     c = np.asarray(coords, dtype=np.int64)
     s2 = 2 * stride
     parents = (c // s2) * s2  # floor division: correct for negatives
-    keys = pack_coords(parents)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    parents = parents[order]
-    keep = np.ones(len(parents), dtype=bool)
-    keep[1:] = keys[1:] != keys[:-1]
-    return parents[keep]
+    order, first = sorted_runs(parents)
+    return parents[order][first]
 
 
 @dataclass
@@ -145,10 +151,10 @@ def build_pyramid(geometry: np.ndarray, num_levels: int = 3) -> ScalePyramid:
     geometry = np.asarray(geometry, dtype=np.int64).reshape(-1, 3)
     if len(geometry) == 0:
         raise EmptyGeometry("cannot build a pyramid from empty geometry")
-    level0 = geometry[sort_coords(geometry)]
+    order, first = sorted_runs(geometry)
+    level0 = geometry[order]
+    _reject_duplicates(first, level0)
     coords = [level0]
     for n in range(num_levels):
         coords.append(downsample_coords(coords[-1], 1 << n))
-    indexes = [CoordIndex(c) for c in coords]
-    _reject_duplicates(indexes[0].keys, level0)
-    return ScalePyramid(coords, indexes)
+    return ScalePyramid(coords, [CoordIndex(c) for c in coords])

@@ -11,9 +11,8 @@ import pytest
 
 from pcac import autodiff as ad
 from pcac import codec, likelihood as lh, pc_io, range_coder as rc, trainer
-from pcac.sparse_nn import (FusedKernelMap, KernelMapCache, ModelConfig,
-                            SparseConv, build_kernel_map, kernel_offsets,
-                            max_pool2)
+from pcac.sparse_nn import (KernelMapCache, ModelConfig, SparseConv,
+                            build_kernel_map, kernel_offsets, max_pool2)
 from pcac.tensor_core import build_pyramid, sort_coords
 
 SMALL = ModelConfig(hidden=8, res_blocks=1, mixtures=2)
@@ -206,8 +205,7 @@ def test_criterion_06_sparse_op_oracles(capsys):
         conv = SparseConv(3, 4, 3, rng)
         conv.bias.value[...] = rng.normal(size=4)
         x = rng.normal(size=(len(fine), 3))
-        fmap = FusedKernelMap(build_kernel_map(fine, fine, 3, 1),
-                              len(fine), len(fine))
+        fmap = build_kernel_map(fine, fine, 3, 1)
         got = conv(ad.Node(x), fmap).value
         table = {tuple(c): f for c, f in zip(fine, x)}
         for j, c in enumerate(fine):
@@ -273,6 +271,7 @@ def test_criterion_07_range_coder_optimality(capsys):
            f"{failures}/1000 randomized round-trip failures")
 
 
+@pytest.mark.slow
 def test_criterion_08_overfit_compression(capsys):
     # a voxelized PLY with natural statistics (curved surface, smooth color
     # field, mild sensor noise), written and re-read through the real

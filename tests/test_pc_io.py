@@ -208,6 +208,35 @@ def test_partition_blocks_covers_and_localizes():
     np.testing.assert_array_equal(back.features, t.features)
 
 
+def assert_canonical(tensor):
+    # a tensor made without build_sparse_tensor equals build_sparse_tensor
+    # of itself: sorted, unique, int64 coords and float64 (N, C) features
+    canon = build_sparse_tensor(tensor.coords, tensor.features)
+    for got, expect in ((tensor.coords, canon.coords),
+                        (tensor.features, canon.features)):
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        np.testing.assert_array_equal(got, expect)
+
+
+def test_voxelize_and_partition_outputs_are_canonical():
+    rng = np.random.default_rng(5)
+    for trial in range(40):
+        n = int(rng.integers(1, 300))
+        depth = int(rng.integers(1, 9))
+        pos = rng.uniform(0, 1 << depth, size=(n, 3))
+        pos[: n // 4] = np.floor(pos[: n // 4])  # repeated voxels
+        pos[n // 2: n // 2 + n // 4] = pos[: n // 4]
+        colors = (rng.integers(0, 256, size=(n, 3)) if trial % 3
+                  else np.empty((n, 0)))
+        tensor = pc_io.voxelize(pc_io.PointCloud(pos, colors), depth)
+        assert_canonical(tensor)
+        size = int(rng.integers(1, (1 << depth) + 1))
+        blocks = pc_io.partition_blocks(tensor, size)
+        assert sum(len(b.tensor) for b in blocks) == len(tensor)
+        for b in blocks:
+            assert_canonical(b.tensor)
+
+
 def test_partition_boundary_points():
     # [TRIVIAL] 63 stays in block 0, 64 starts block 1
     t = build_sparse_tensor([[63, 0, 0], [64, 0, 0]], [[1.0], [2.0]])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,3 +91,10 @@ def test_ste_forward_is_hard_backward_is_soft():
     with pytest.raises(ValueError):
         quantize_soft(node, GRID, mode="nope")
 
+
+
+def test_ste_rejects_non_finite_input_before_the_softmax():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a softmax of NaN would warn
+        with pytest.raises(NonFiniteInput):
+            quantize_soft(ad.Node(np.array([0.5, np.nan])), GRID)

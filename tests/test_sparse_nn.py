@@ -3,10 +3,9 @@ import pytest
 
 from pcac import autodiff as ad
 from pcac.errors import ShapeMismatch
-from pcac.sparse_nn import (FusedKernelMap, KernelMapCache, ModelConfig,
-                            ResidualBlock, ScaleDecoder, ScaleEncoder,
-                            SparseConv, build_kernel_map, kernel_offsets,
-                            max_pool2)
+from pcac.sparse_nn import (KernelMapCache, ModelConfig, ResidualBlock,
+                            ScaleDecoder, ScaleEncoder, SparseConv,
+                            build_kernel_map, kernel_offsets, max_pool2)
 from pcac.tensor_core import COORD_BITS, build_pyramid, sort_coords
 
 
@@ -38,46 +37,88 @@ def test_kernel_offsets():
 def test_kernel_map_pair_counts():
     # [DERIVED] two diagonal neighbors see each other and themselves: 4 pairs
     coords = np.array([[0, 0, 0], [1, 1, 1]])
-    pairs = build_kernel_map(coords, coords, 3, 1)
-    assert sum(len(a) for a, _ in pairs) == 4
+    fmap = build_kernel_map(coords, coords, 3, 1)
+    assert len(fmap.rows_in) == len(fmap.rows_out) == 4
     # isolated points only match the center offset
     far = np.array([[0, 0, 0], [10, 10, 10]])
-    pairs = build_kernel_map(far, far, 3, 1)
-    assert sum(len(a) for a, _ in pairs) == 2
+    fmap = build_kernel_map(far, far, 3, 1)
+    assert fmap.offset_slices == [(0, 2, 13)]
+
+
+class ReferenceMap:
+    """[DERIVED] the per-offset construction: one direct lookup per offset,
+    each column's present entries (col[col >= 0]) paired with their rows
+    (flatnonzero), concatenated over the offsets that have pairs. With
+    `swap`, entries are outputs and rows inputs (the up map)."""
+
+    def __init__(self, index, coords, offsets, step, n_in, n_out,
+                 swap=False):
+        self.n_in, self.n_out = n_in, n_out
+        self.offset_slices = []
+        parts_in, parts_out = [], []
+        start = 0
+        for oi, off in enumerate(offsets):
+            col = index.lookup(coords + np.multiply(off, step))
+            entries, rows = col[col >= 0], np.flatnonzero(col >= 0)
+            if swap:
+                entries, rows = rows, entries
+            if len(rows):
+                parts_in.append(entries)
+                parts_out.append(rows)
+                self.offset_slices.append((start, start + len(rows), oi))
+                start += len(rows)
+        self.rows_in = np.concatenate(parts_in + [np.empty(0, np.int64)])
+        self.rows_out = np.concatenate(parts_out + [np.empty(0, np.int64)])
 
 
 def assert_same_map(got, expect):
     assert (got.n_in, got.n_out) == (expect.n_in, expect.n_out)
     assert got.offset_slices == expect.offset_slices
-    np.testing.assert_array_equal(got.rows_in, expect.rows_in)
-    np.testing.assert_array_equal(got.rows_out, expect.rows_out)
+    assert all(type(v) is int for s in got.offset_slices for v in s)
+    for a, b in ((got.rows_in, expect.rows_in), (got.rows_out, expect.rows_out)):
+        assert a.dtype == np.int64 and a.flags.c_contiguous
+        np.testing.assert_array_equal(a, b)
 
 
-def test_cached_maps_equal_direct_lookups():
-    # self maps fill offsets 14..26 by transposing 0..12 and up maps reuse
-    # the pooling table; both must equal a lookup of every offset. Negative
-    # coordinates, and x up to 2^20 - 1 where +x offsets step past the edge.
-    rng = np.random.default_rng(10)
+def reference_geometries(rng):
+    """Random pyramids with negative coordinates, x up to 2^20 - 1 where +x
+    offsets step past the edge, single points and isolated points (whose
+    maps have offsets with no pairs)."""
     edge = (1 << COORD_BITS) - 1
+    yield np.array([[0, 0, 0]])
+    yield np.array([[-(1 << COORD_BITS), edge, 7]])
+    yield np.array([[0, 0, 0], [40, 40, 40], [-40, 8, 3]])
     for trial in range(12):
         n = int(rng.integers(1, 400))
         coords = rng.integers(-40, 40, size=(n, 3))
         coords[: n // 3, 0] = edge - rng.integers(0, 5, n // 3)
-        pyr = build_pyramid(np.unique(coords, axis=0), 3)
+        yield np.unique(coords, axis=0)
+
+
+def test_cached_maps_equal_direct_lookups():
+    # self maps fill offsets 14..26 by transposing 0..12 and up maps reuse
+    # the pooling table; both, and build_kernel_map, must equal the
+    # per-offset reference that looks up every offset
+    rng = np.random.default_rng(10)
+    off3, off2 = kernel_offsets(3), kernel_offsets(2)
+    for geometry in reference_geometries(rng):
+        pyr = build_pyramid(geometry, 3)
         maps = KernelMapCache(pyr)
         for level, c in enumerate(pyr.coords):
-            expect = FusedKernelMap(
-                build_kernel_map(c, c, 3, pyr.stride(level)), len(c), len(c))
+            s = pyr.stride(level)
+            expect = ReferenceMap(pyr.indexes[level], c, off3, s,
+                                  len(c), len(c))
             assert_same_map(maps.self_map(level), expect)
+            assert_same_map(build_kernel_map(c, c, 3, s), expect)
         for level in range(1, len(pyr.coords)):
             fine, coarse = pyr.coords[level - 1], pyr.coords[level]
             s = pyr.stride(level - 1)
-            flipped = [(b, a) for a, b in build_kernel_map(fine, coarse, 2, s)]
-            assert_same_map(maps.up_map(level),
-                            FusedKernelMap(flipped, len(coarse), len(fine)))
             index = pyr.indexes[level - 1]
-            children = [index.lookup(coarse + np.multiply(o, s))
-                        for o in kernel_offsets(2)]
+            assert_same_map(maps.up_map(level), ReferenceMap(
+                index, coarse, off2, s, len(coarse), len(fine), swap=True))
+            assert_same_map(build_kernel_map(fine, coarse, 2, s), ReferenceMap(
+                index, coarse, off2, s, len(fine), len(coarse)))
+            children = [index.lookup(coarse + np.multiply(o, s)) for o in off2]
             np.testing.assert_array_equal(maps.pool_children(level),
                                           np.stack(children, axis=1))
 
@@ -88,8 +129,7 @@ def test_sparse_conv_identity_kernel():
     conv = SparseConv(3, 3, 3, rng)
     conv.weight.value[...] = 0.0
     conv.weight.value[13] = np.eye(3)  # center offset
-    fmap = FusedKernelMap(build_kernel_map(coords, coords, 3, 1),
-                          len(coords), len(coords))
+    fmap = build_kernel_map(coords, coords, 3, 1)
     x = rng.normal(size=(len(coords), 3))
     out = conv(ad.Node(x), fmap)
     np.testing.assert_allclose(out.value, x, atol=1e-12)
@@ -105,8 +145,7 @@ def test_sparse_conv_matches_dense_oracle():
         conv = SparseConv(4, 6, 3, rng)
         x = rng.normal(size=(len(coords), 4))
         conv.bias.value[...] = rng.normal(size=6)
-        fmap = FusedKernelMap(build_kernel_map(coords, coords, 3, 1),
-                              len(coords), len(coords))
+        fmap = build_kernel_map(coords, coords, 3, 1)
         out = conv(ad.Node(x), fmap)
         expect = dense_conv_oracle(coords, x, conv.weight.value,
                                    conv.bias.value, offsets)
@@ -117,7 +156,7 @@ def test_sparse_conv_gradients_match_fd():
     rng = np.random.default_rng(2)
     coords = np.array([[0, 0, 0], [0, 0, 1], [1, 1, 1], [3, 3, 3]])
     conv = SparseConv(2, 3, 3, rng)
-    fmap = FusedKernelMap(build_kernel_map(coords, coords, 3, 1), 4, 4)
+    fmap = build_kernel_map(coords, coords, 3, 1)
     x = rng.normal(size=(4, 2))
     coeff = rng.normal(size=(4, 3))
 
@@ -256,8 +295,7 @@ def test_residual_block_zero_weights_is_identity():
     block = ResidualBlock(4, rng)
     block.conv2.weight.value[...] = 0.0
     block.conv2.bias.value[...] = 0.0
-    fmap = FusedKernelMap(build_kernel_map(coords, coords, 3, 1),
-                          len(coords), len(coords))
+    fmap = build_kernel_map(coords, coords, 3, 1)
     x = rng.normal(size=(len(coords), 4))
     out = block(ad.Node(x), fmap)
     np.testing.assert_allclose(out.value, x, atol=1e-12)

@@ -7,7 +7,7 @@ from pcac.errors import (DuplicateCoordinate, EmptyGeometry, OutOfRange,
                          ShapeMismatch)
 from pcac.tensor_core import (COORD_BITS, CoordIndex, build_pyramid,
                               build_sparse_tensor, downsample_coords,
-                              pack_coords, sort_coords)
+                              pack_coords, sort_coords, sorted_runs)
 
 coord_lists = st.lists(
     st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000),
@@ -59,6 +59,30 @@ def test_sort_coords_property(coords):
     c = np.array(coords, dtype=np.int64)
     s = c[sort_coords(c)]
     assert sorted(map(tuple, c)) == list(map(tuple, s))
+
+
+_LO, _HI = -(1 << COORD_BITS), (1 << COORD_BITS) - 1
+_component = st.one_of(st.integers(-2, 2), st.sampled_from([_LO, _HI]))
+
+
+@given(st.lists(st.tuples(_component, _component, _component), max_size=40),
+       st.sampled_from([None, _LO - 1, _HI + 1]))
+@settings(max_examples=100, deadline=None)
+def test_sorted_runs_property(coords, outside):
+    # the order is the stable argsort of the packed keys and `first` marks
+    # exactly the run starts; an out-of-range coordinate raises
+    c = np.array(coords, dtype=np.int64).reshape(-1, 3)
+    if outside is not None and len(c):
+        c[-1, 1] = outside
+        with pytest.raises(OutOfRange):
+            sorted_runs(c)
+        return
+    order, first = sorted_runs(c)
+    np.testing.assert_array_equal(
+        order, np.argsort(pack_coords(c), kind="stable"))
+    s = [tuple(p) for p in c[order]]
+    assert first.tolist() == [i == 0 or s[i] != s[i - 1]
+                              for i in range(len(s))]
 
 
 def test_coord_index_lookup():
