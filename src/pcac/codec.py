@@ -13,6 +13,12 @@ symbols against full integer CDF rows or estimate them from those rows when
 their chunk is missing from the stream, or sum the spans' information
 content.
 
+Every entry point codes blocks in lockstep (`_lockstep`): consecutive
+blocks of a file form a group laid on an x lattice inside one pyramid, with
+one encoder pass and one `_top_down` pass per group, while each block keeps
+its own chunks, range coders and span hashes. `encode`, `decode` and
+`decode_scalable` are the one-block case, whose block is not shifted.
+
 Coding runs the encoder and decoder stacks and the mixture CDFs in
 `CODING_DTYPE` (float32); training and `estimate_bits` run the same stacks
 in float64. The coder's output is integer CDFs, so float32 costs no rate,
@@ -35,15 +41,16 @@ from . import autodiff as ad
 from . import likelihood as lh
 from . import range_coder as rc
 from .errors import (ChecksumFailure, CorruptStream, DesyncError,
-                     DigestMismatch, ModelMismatch, ShapeMismatch,
+                     DigestMismatch, DuplicateCoordinate, EmptyGeometry,
+                     ModelMismatch, OutOfRange, ShapeMismatch,
                      SymbolOutOfRange)
 from .quantizer import TEMPERATURE, dequantize, quantize_hard, quantize_soft
 from .sparse_nn import KernelMapCache, ModelConfig, ScaleDecoder, ScaleEncoder
-from .tensor_core import build_pyramid, sort_coords
+from .tensor_core import COORD_BITS, build_pyramid, sorted_runs
 
 MAGIC = b"MNET"
 FILE_MAGIC = b"MNEF"
-VERSION = 5
+VERSION = 6
 # the float dtype of coding: the conv stacks and the mixture CDFs
 CODING_DTYPE = np.float32
 
@@ -251,29 +258,124 @@ def run_encoders(model: CodecModel, rgb, maps: KernelMapCache,
     return latents
 
 
+# Files code their blocks in lockstep: consecutive blocks form a group, laid
+# along x at LATTICE spacing inside one pyramid, and each group runs one
+# encoder pass and one top-down pass. The grouping and the lattice define
+# the stream, as VERSION does.
+BLOCK_EXTENT = 64  # a file block's local coordinates lie in [0, 64)^3
+LATTICE = 2 * BLOCK_EXTENT  # block j of a group is shifted by (128 j, 0, 0)
+GROUP_POINTS = BLOCK_EXTENT ** 3
+# the lattice slots of the packed key along x
+GROUP_BLOCKS = (1 << COORD_BITS) // LATTICE
+
+
+def _groups(sizes, num_scales: int):
+    """[start, stop) of each group of blocks with these point counts, in
+    file order. A group closes before the block that would take it past
+    GROUP_POINTS points or GROUP_BLOCKS blocks; a larger block is a group of
+    its own. A model whose top level's stride is above BLOCK_EXTENT codes
+    every block alone: a 3x3x3 neighbourhood at that stride reaches the
+    next lattice slot."""
+    most = GROUP_BLOCKS if 1 << num_scales <= BLOCK_EXTENT else 1
+    bounds, points = [0], 0
+    for j, n in enumerate(sizes):
+        if j > bounds[-1] and (points + n > GROUP_POINTS
+                               or j - bounds[-1] == most):
+            bounds.append(j)
+            points = 0
+        points += n
+    if sizes:
+        bounds.append(len(sizes))
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+class _BlockGroup:
+    """Blocks laid along x at LATTICE spacing in one pyramid: block j is
+    shifted by (LATTICE j, 0, 0), so every neighbourhood and every pooling
+    parent stays inside its block, and in the pyramid's x-major order each
+    block's rows are one contiguous slice at every level. A lone block is
+    not shifted, and may hold any geometry in the packed key range.
+
+    `order` puts the blocks' concatenated rows in pyramid order. A repeated
+    coordinate raises DuplicateCoordinate naming it in its block's own
+    coordinates."""
+
+    def __init__(self, geometries, num_scales: int):
+        local = np.concatenate(geometries)
+        lattice = local.copy()
+        lattice[:, 0] += np.repeat(LATTICE * np.arange(len(geometries)),
+                                   [len(g) for g in geometries])
+        self.order, first = sorted_runs(lattice)
+        if not first.all():
+            coord = local[self.order[np.argmin(first)]]
+            raise DuplicateCoordinate(f"duplicate coordinate "
+                                      f"{tuple(coord.tolist())}")
+        self.maps = KernelMapCache(build_pyramid(lattice[self.order],
+                                                 num_scales))
+        slots = LATTICE * np.arange(1, len(geometries))
+        self.bounds = [[0] + np.searchsorted(c[:, 0], slots).tolist()
+                       + [len(c)] for c in self.maps.pyramid.coords]
+
+    def __len__(self):
+        return len(self.bounds[0]) - 1
+
+    def rows(self, level: int, width: int = 1):
+        """Each block's slice of a level's rows, of `width` values per
+        point (a latent pass is point-major, channel-minor)."""
+        b = self.bounds[level]
+        return [slice(width * lo, width * hi) for lo, hi in zip(b, b[1:])]
+
+    def counts(self, block: int):
+        """Block `block`'s point count per level, as its own pyramid's."""
+        return tuple(b[block + 1] - b[block] for b in self.bounds)
+
+
+def _block_geometry(geometry):
+    return np.asarray(geometry, dtype=np.int64).reshape(-1, 3)
+
+
+def _block_rgb(rgb_features, num_points: int):
+    """RGB of one block as int64: (N, 3), else ShapeMismatch, of integers in
+    0..255 of any dtype, else SymbolOutOfRange."""
+    rgb = np.asarray(rgb_features)
+    if rgb.shape != (num_points, 3):
+        raise ShapeMismatch(f"features {rgb.shape} for {num_points} points")
+    if not np.all((rgb >= 0) & (rgb <= 255) & (rgb % 1 == 0)):
+        raise SymbolOutOfRange("RGB values must be integers in 0..255")
+    return rgb.astype(np.int64)
+
+
+def _file_geometry(geometry):
+    """A file block's geometry: EmptyGeometry without points, OutOfRange
+    outside [0, BLOCK_EXTENT)^3, where the lattice needs it."""
+    geometry = _block_geometry(geometry)
+    if not len(geometry):
+        raise EmptyGeometry("a file block has no points")
+    if geometry.min() < 0 or geometry.max() >= BLOCK_EXTENT:
+        raise OutOfRange(f"file block coordinates outside "
+                         f"[0, {BLOCK_EXTENT})^3")
+    return geometry
+
+
 def prepare_block(geometry, rgb_features, num_scales: int):
     """Check a block and put it in canonical form: (kernel maps, RGB).
     RGB must be (N, 3), else ShapeMismatch, and hold integers in 0..255 of
     any dtype, else SymbolOutOfRange; it returns as int64 in `sort_coords`
     order, the order of the pyramid."""
-    geometry = np.asarray(geometry, dtype=np.int64).reshape(-1, 3)
-    rgb = np.asarray(rgb_features)
-    if rgb.shape != (len(geometry), 3):
-        raise ShapeMismatch(f"features {rgb.shape} for {len(geometry)} points")
-    maps = KernelMapCache(build_pyramid(geometry, num_scales))
-    if not np.all((rgb >= 0) & (rgb <= 255) & (rgb % 1 == 0)):
-        raise SymbolOutOfRange("RGB values must be integers in 0..255")
-    return maps, rgb.astype(np.int64)[sort_coords(geometry)]
+    geometry = _block_geometry(geometry)
+    rgb = _block_rgb(rgb_features, len(geometry))
+    group = _BlockGroup([geometry], num_scales)
+    return group.maps, rgb[group.order]
 
 
-def _analyze(model: CodecModel, geometry, rgb_features):
-    """Encoder side of one block: its kernel maps, the top-scale latent
-    symbols, and an iterator over the symbols of every `_top_down` pass."""
-    maps, rgb = prepare_block(geometry, rgb_features, model.config.num_scales)
+def _analyze(model: CodecModel, maps: KernelMapCache, rgb):
+    """Encoder side of a group's kernel maps and RGB in pyramid order: the
+    top-scale latent symbols, and an iterator over the symbols of every
+    `_top_down` pass."""
     symbols = [quantize_hard(node.value, model.latent_grid)[0]
                for node in run_encoders(model, rgb, maps, CODING_DTYPE)]
     passes = [s.reshape(-1) for s in symbols[-2::-1]] + list(rgb.T)
-    return maps, symbols[-1], iter(passes)
+    return symbols[-1], iter(passes)
 
 
 # ---------------------------------------------------------------- container
@@ -374,9 +476,11 @@ def _spans(grid: lh.SymbolGrid, params, symbols):
 
 
 def _cdf_tables(grid: lh.SymbolGrid, params):
-    """The pass's full integer CDF rows in coding order, as one (rows, M+1)
-    table per block of points; F at every edge of a row, bit for bit the
-    values `_spans` takes at two of them."""
+    """The full integer CDF rows of a pass's points in coding order, as one
+    (rows, M+1) table per block of points; F at every edge of a row, bit for
+    bit the values `_spans` takes at two of them. Every step is row-wise
+    (`mixture_terms`' softmax sums each row's K weights alone), so the rows
+    of a slice of a pass's points are bit for bit those of the whole pass."""
     w, mu, s = lh.mixture_terms(*params)
     edges = np.arange(grid.num_symbols + 1)
     for lo in range(0, len(mu), _CDF_CHUNK_ROWS):
@@ -409,8 +513,9 @@ def _top_down(model: CodecModel, maps: KernelMapCache, symbols, code_pass):
     per latent level (rows point-major, channel-minor), three for RGB (R, G
     given R, B given R and G). code_pass(chunk, grid, params) gets the
     pass's chunk index, symbol grid and mixture (weight logits, means,
-    log-scales, each (points, ..., K)), and returns its symbols. Returns the
-    RGB symbols.
+    log-scales, each (points, ..., K)), and returns its symbols; chunk c's
+    points are those of pyramid level num_scales - c. Returns the RGB
+    symbols.
     """
     cfg = model.config
     forwarded = None
@@ -445,38 +550,62 @@ class CodingDebug:
     cdf_sha256: str
 
 
-def encode(geometry, rgb_features, model: CodecModel,
-           debug: bool = False):
-    """Compress integer RGB features over known geometry into a bitstream."""
-    maps, top, passes = _analyze(model, geometry, rgb_features)
-    spans = _SpanHash(model.config.num_scales, debug)
-    encoders = [rc.RangeEncoder() for _ in range(model.config.num_scales)]
+def _lockstep(geometries, num_scales: int):
+    """(start, stop, group) of each `_groups` group of the blocks with
+    these geometries: the one loop of every coding entry point, which codes
+    a lone block as a group of one."""
+    for start, stop in _groups([len(g) for g in geometries], num_scales):
+        yield start, stop, _BlockGroup(geometries[start:stop], num_scales)
+
+
+def _encode_streams(geometries, rgbs, model: CodecModel,
+                    debug: bool = False):
+    """(stream, span hash) of every block, coded in lockstep."""
+    geometries = [_block_geometry(g) for g in geometries]
+    rgbs = [_block_rgb(f, len(g)) for g, f in zip(geometries, rgbs)]
+    out = []
+    for start, stop, group in _lockstep(geometries, model.config.num_scales):
+        out += _encode_group(model, group,
+                             np.concatenate(rgbs[start:stop])[group.order],
+                             debug)
+    return out
+
+
+def _encode_group(model: CodecModel, group: _BlockGroup, rgb, debug: bool):
+    """One encoder pass and one top-down pass over a group. Each pass's
+    spans are computed at once and split by block; every block has its own
+    range coders, span hashes and stream."""
+    cfg = model.config
+    top, passes = _analyze(model, group.maps, rgb)
+    spans = [_SpanHash(cfg.num_scales, debug) for _ in range(len(group))]
+    encoders = [[rc.RangeEncoder() for _ in range(cfg.num_scales)]
+                for _ in range(len(group))]
 
     def write(chunk, grid, params):
         syms = next(passes)
         lo, hi = _spans(grid, params, syms)
-        encoders[chunk - 1].encode_spans(lo, hi)
-        spans.add(chunk - 1, lo, hi)
+        width = cfg.latent_channels if chunk < cfg.num_scales else 1
+        for j, rows in enumerate(group.rows(cfg.num_scales - chunk, width)):
+            encoders[j][chunk - 1].encode_spans(lo[rows], hi[rows])
+            spans[j].add(chunk - 1, lo[rows], hi[rows])
         return syms
 
-    _top_down(model, maps, top, write)
-    # top scale: fixed uniform model
-    chunks = [rc.encode_uniform(top.reshape(-1), model.config.num_bins)]
-    chunks += [enc.finish() + struct.pack("<I", crc)
-               for enc, crc in zip(encoders, spans.crc)]
-    counts = [len(c) for c in maps.pyramid.coords]
-    stream = _header(model, counts) + b"".join(_chunk(c) for c in chunks)
-    if debug:
-        return stream, CodingDebug(spans.sha.hexdigest())
-    return stream
+    _top_down(model, group.maps, top, write)
+    out = []
+    for j, rows in enumerate(group.rows(cfg.num_scales)):
+        # top scale: fixed uniform model
+        chunks = [rc.encode_uniform(top[rows].reshape(-1), cfg.num_bins)]
+        chunks += [enc.finish() + struct.pack("<I", crc)
+                   for enc, crc in zip(encoders[j], spans[j].crc)]
+        out.append((_header(model, group.counts(j))
+                    + b"".join(_chunk(c) for c in chunks), spans[j]))
+    return out
 
 
-def _decode(geometry, bitstream, model: CodecModel, estimate=None,
-            debug: bool = False):
-    """decode and decode_scalable: the symbols of a chunk missing from the
-    stream (allowed only with `estimate`) come from estimate(table) per block
-    of the same integer CDF rows a coded chunk is read against. Returns the
-    RGB symbols and the span hashes."""
+def _read_stream(bitstream: bytes, model: CodecModel, scalable: bool):
+    """Header and chunk payloads of one block stream, checked against the
+    model; only the point counts, which need the geometry, are left. A
+    lossless decode needs every chunk, a scalable one at least the top."""
     header, chunks = _read_chunks(bitstream)
     if header["digest"] != model.digest():
         raise DigestMismatch("bitstream was produced by a different model")
@@ -485,10 +614,7 @@ def _decode(geometry, bitstream, model: CodecModel, estimate=None,
             header["latent_alphabet"] != cfg.num_bins or \
             header["f_alphabet"] != lh.RGB_GRID.num_symbols:
         raise ModelMismatch("container layout disagrees with the model config")
-    pyramid = build_pyramid(geometry, cfg.num_scales)
-    if tuple(header["counts"]) != tuple(len(c) for c in pyramid.coords):
-        raise ModelMismatch("geometry does not match the encoded point counts")
-    if estimate is None and len(chunks) != cfg.num_scales + 1:
+    if not scalable and len(chunks) != cfg.num_scales + 1:
         raise CorruptStream(
             f"expected {cfg.num_scales + 1} chunks, found {len(chunks)}")
     if not chunks:
@@ -496,36 +622,104 @@ def _decode(geometry, bitstream, model: CodecModel, estimate=None,
                             "and the stream has no chunk")
     if any(len(c) < 4 for c in chunks[1:]):
         raise CorruptStream("chunk too short for its span hash")
+    return header, chunks
 
-    n_top = len(pyramid.coords[cfg.num_scales])
-    top = rc.decode_uniform(chunks[0], n_top * cfg.latent_channels,
-                            cfg.num_bins).reshape(n_top, cfg.latent_channels)
-    decoders = [rc.RangeDecoder(c[:-4]) for c in chunks[1:]]
-    spans = _SpanHash(cfg.num_scales, debug)
+
+def _decode_streams(geometries, streams, model: CodecModel, estimators,
+                    debug: bool = False):
+    """(RGB symbols, span hash) of every block, decoded in lockstep from its
+    `_read_stream` (header, chunks). The symbols of a chunk missing from a
+    block's stream (allowed only with `estimators`, one per block) come from
+    its estimator, called per block of the same integer CDF rows a coded
+    chunk is read against."""
+    geometries = [_block_geometry(g) for g in geometries]
+    out = []
+    for start, stop, group in _lockstep(geometries, model.config.num_scales):
+        for j, (header, _) in enumerate(streams[start:stop]):
+            if tuple(header["counts"]) != group.counts(j):
+                raise ModelMismatch(
+                    "geometry does not match the encoded point counts")
+        out += _decode_group(
+            model, group, [chunks for _, chunks in streams[start:stop]],
+            None if estimators is None else estimators[start:stop], debug)
+    return out
+
+
+def _decode_group(model: CodecModel, group: _BlockGroup, chunks, estimators,
+                  debug: bool):
+    """One top-down pass over a group: each block reads its own chunks with
+    its own range decoders, on CDF tables built inside its slice of the
+    pass, or estimates a chunk its stream lacks."""
+    cfg = model.config
+    top = np.concatenate([
+        rc.decode_uniform(block[0], rows.stop - rows.start, cfg.num_bins)
+        for block, rows in zip(chunks, group.rows(cfg.num_scales,
+                                                  cfg.latent_channels))])
+    decoders = [[rc.RangeDecoder(c[:-4]) for c in block[1:]]
+                for block in chunks]
+    spans = [_SpanHash(cfg.num_scales, debug) for _ in chunks]
 
     def read(chunk, grid, params):
         out = []
-        for table in _cdf_tables(grid, params):
-            if chunk >= len(chunks):
-                out.append(estimate(table))
-                continue
-            syms = decoders[chunk - 1].decode_table(table)
-            rows = np.arange(len(syms))
-            spans.add(chunk - 1, table[rows, syms], table[rows, syms + 1])
-            out.append(syms)
+        for j, rows in enumerate(group.rows(cfg.num_scales - chunk)):
+            for table in _cdf_tables(grid, [p[rows] for p in params]):
+                if chunk > len(decoders[j]):
+                    out.append(estimators[j](table))
+                    continue
+                syms = decoders[j][chunk - 1].decode_table(table)
+                at = np.arange(len(syms))
+                spans[j].add(chunk - 1, table[at, syms], table[at, syms + 1])
+                out.append(syms)
         return np.concatenate(out)
 
-    rgb = _top_down(model, KernelMapCache(pyramid), top, read)
-    for chunk, payload in enumerate(chunks[1:], start=1):
-        if struct.unpack("<I", payload[-4:])[0] != spans.crc[chunk - 1]:
-            raise DesyncError(f"chunk {chunk}: the decoded spans differ from "
-                              "the encoded ones")
-    return rgb, spans
+    rgb = _top_down(model, group.maps,
+                    top.reshape(-1, cfg.latent_channels), read)
+    for block, block_spans in zip(chunks, spans):
+        for chunk, payload in enumerate(block[1:], start=1):
+            if struct.unpack("<I", payload[-4:])[0] != \
+                    block_spans.crc[chunk - 1]:
+                raise DesyncError(f"chunk {chunk}: the decoded spans differ "
+                                  "from the encoded ones")
+    return list(zip((rgb[rows] for rows in group.rows(0)), spans))
+
+
+def _estimator(mode: str, seed: int):
+    """estimate(table): the symbols of a missing chunk from one block of
+    its integer CDF rows, all in integer arithmetic on rows from 0 to TOTAL,
+    every width >= 1. Mode "sample" draws from its own default_rng(seed),
+    one draw per row in coding order."""
+    if mode not in ("mean", "sample"):
+        raise ValueError(f"unknown mode {mode!r}")
+    rng = np.random.default_rng(seed)
+
+    def estimate(table):
+        if mode == "mean":
+            mass = np.diff(table, axis=-1) @ np.arange(table.shape[1] - 1)
+            return (mass + rc.TOTAL // 2) // rc.TOTAL
+        # the symbol whose span holds floor(u * TOTAL)
+        t = np.floor(rng.random(len(table)) * rc.TOTAL).astype(np.int64)
+        return (table[:, 1:-1] <= t[:, None]).sum(axis=-1)
+
+    return estimate
+
+
+def encode(geometry, rgb_features, model: CodecModel,
+           debug: bool = False):
+    """Compress integer RGB features over known geometry into a bitstream:
+    the one-block case of a file, with no shift, so any geometry in the
+    packed key range."""
+    [(stream, spans)] = _encode_streams([geometry], [rgb_features], model,
+                                        debug)
+    if debug:
+        return stream, CodingDebug(spans.sha.hexdigest())
+    return stream
 
 
 def decode(geometry, bitstream, model: CodecModel, debug: bool = False):
     """Exact inverse of encode; returns (N, 3) integer RGB in canonical order."""
-    rgb, spans = _decode(geometry, bitstream, model, debug=debug)
+    [(rgb, spans)] = _decode_streams(
+        [geometry], [_read_stream(bitstream, model, scalable=False)], model,
+        None, debug)
     if debug:
         return rgb, CodingDebug(spans.sha.hexdigest())
     return rgb
@@ -541,20 +735,10 @@ def decode_scalable(geometry, bitstream, model: CodecModel,
     one per row in coding order). An absent F chunk yields a lossy color
     estimate from p(F | z^1), channel-sequentially.
     """
-    if mode not in ("mean", "sample"):
-        raise ValueError(f"unknown mode {mode!r}")
-    rng = np.random.default_rng(seed)
-
-    def estimate(table):
-        # integer arithmetic on rows from 0 to TOTAL, every width >= 1
-        if mode == "mean":
-            mass = np.diff(table, axis=-1) @ np.arange(table.shape[1] - 1)
-            return (mass + rc.TOTAL // 2) // rc.TOTAL
-        # the symbol whose span holds floor(u * TOTAL)
-        t = np.floor(rng.random(len(table)) * rc.TOTAL).astype(np.int64)
-        return (table[:, 1:-1] <= t[:, None]).sum(axis=-1)
-
-    return _decode(geometry, bitstream, model, estimate)[0]
+    estimate = _estimator(mode, seed)
+    return _decode_streams(
+        [geometry], [_read_stream(bitstream, model, scalable=True)], model,
+        [estimate])[0][0]
 
 
 def truncate_bitstream(bitstream: bytes, num_chunks: int) -> bytes:
@@ -617,7 +801,8 @@ def quantized_info_bits(model: CodecModel, geometry, rgb_features) -> float:
     encoder codes (uniform widths for the top scale); the coded payload can
     never be shorter than this.
     """
-    maps, top, passes = _analyze(model, geometry, rgb_features)
+    maps, rgb = prepare_block(geometry, rgb_features, model.config.num_scales)
+    top, passes = _analyze(model, maps, rgb)
     # the uniform coder gives every symbol width 1 out of num_bins
     total = lh.uniform_bits(*top.shape, model.config.num_bins)
 
@@ -642,12 +827,18 @@ def estimate_bits(model: CodecModel, geometry, rgb_features) -> float:
 # --------------------------------------------------------- multi-block files
 
 def encode_blocks(blocks, model: CodecModel) -> bytes:
-    """Concatenate per-block streams: a file header [magic, version, block
-    count, CRC32], then [origin, length, CRC32, stream] per block; each CRC32
-    covers the fields before it."""
+    """Code (origin, geometry, RGB) blocks as one file: a file header [magic,
+    version, block count, CRC32], then [origin, length, CRC32, stream] per
+    block; each CRC32 covers the fields before it. The blocks are coded in
+    lockstep groups (`_groups`), so a block's stream decodes only together
+    with its group's geometry. Local coordinates must lie in
+    [0, BLOCK_EXTENT)^3, else OutOfRange, and a block without points raises
+    EmptyGeometry."""
+    geometries = [_file_geometry(geometry) for _, geometry, _ in blocks]
+    streams = _encode_streams(geometries, [rgb for _, _, rgb in blocks],
+                              model)
     parts = [_with_crc(FILE_MAGIC + struct.pack("<BI", VERSION, len(blocks)))]
-    for origin, geometry, rgb in blocks:
-        stream = encode(geometry, rgb, model)
+    for (origin, _, _), (stream, _) in zip(blocks, streams):
         parts.append(_with_crc(struct.pack(
             "<iiiI", *[int(v) for v in origin], len(stream))))
         parts.append(stream)
@@ -657,14 +848,19 @@ def encode_blocks(blocks, model: CodecModel) -> bytes:
 def decode_blocks(data: bytes, blocks_geometry, model: CodecModel,
                   chunks: int | None = None, mode: str = "mean",
                   seed: int = 0):
-    """Inverse of encode_blocks given the per-block geometry list.
+    """Inverse of encode_blocks given the per-block geometry list, which
+    must be the encoder's, as each block's group is.
 
     chunks=None decodes losslessly; otherwise each block is cut to its first
-    `chunks` chunks and decoded by decode_scalable with `mode` and `seed`.
-    A count below 1 raises ValueError.
+    `chunks` chunks and its missing chunks are estimated as decode_scalable
+    does, with `mode` and a default_rng(seed) of its own. A count below 1
+    raises ValueError. Every block record and stream header is parsed and
+    checked before any block is decoded.
     """
     if chunks is not None and chunks < 1:
         raise ValueError(f"chunk count {chunks} is below 1")
+    estimators = None if chunks is None else [
+        _estimator(mode, seed) for _ in blocks_geometry]
     if len(data) < 13 or data[:4] != FILE_MAGIC:
         raise CorruptStream("bad or truncated file header")
     version, count = struct.unpack_from("<BI", data, 4)
@@ -674,21 +870,20 @@ def decode_blocks(data: bytes, blocks_geometry, model: CodecModel,
     if count != len(blocks_geometry):
         raise ModelMismatch("block count mismatch")
     off = 13
-    out = []
-    for geometry in blocks_geometry:
+    origins, streams = [], []
+    for _ in range(count):
         if off + 20 > len(data):
             raise CorruptStream("truncated block record")
         _check_crc(data, off, off + 16, "block record")
         *origin, length = struct.unpack_from("<iiiI", data, off)
         off += 20
-        stream = data[off:off + length]
+        header, payloads = _read_stream(data[off:off + length], model,
+                                        scalable=chunks is not None)
         off += length
-        if chunks is None:
-            rgb = decode(geometry, stream, model)
-        else:
-            rgb = decode_scalable(geometry, truncate_bitstream(stream, chunks),
-                                  model, mode=mode, seed=seed)
-        out.append((tuple(origin), rgb))
+        origins.append(tuple(origin))
+        streams.append((header, payloads[:chunks]))
     if off != len(data):
         raise CorruptStream("trailing bytes after the last block")
-    return out
+    decoded = _decode_streams([_file_geometry(g) for g in blocks_geometry],
+                              streams, model, estimators)
+    return [(origin, rgb) for origin, (rgb, _) in zip(origins, decoded)]

@@ -180,10 +180,13 @@ def _round_half_away(x):
 
 
 def voxelize(pc: PointCloud, bit_depth: int) -> SparseTensor:
-    """Floor positions to the integer grid; merge duplicates by color mean."""
+    """Floor positions to the integer grid; merge duplicates by color mean.
+    A cloud without points raises EmptyGeometry."""
     if bit_depth > COORD_BITS:
         raise OutOfRange(f"a bit depth of {bit_depth} is above the supported "
                          f"{COORD_BITS}")
+    if not len(pc):
+        raise EmptyGeometry("cannot voxelize a cloud without points")
     pos = np.asarray(pc.positions, dtype=np.float64)
     # written so that NaN, which fails every comparison, is outside too
     if not np.all((pos >= 0) & (pos < (1 << bit_depth))):

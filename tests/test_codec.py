@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import zlib
@@ -17,10 +18,10 @@ from pcac import codec, trainer
 from pcac import likelihood as lh
 from pcac.errors import (ChecksumFailure, CorruptStream, DesyncError,
                          DigestMismatch, DuplicateCoordinate, EmptyGeometry,
-                         InvalidCdf, ModelMismatch, PcacError, ShapeMismatch,
-                         SymbolOutOfRange)
+                         InvalidCdf, ModelMismatch, OutOfRange, PcacError,
+                         ShapeMismatch, SymbolOutOfRange)
 from pcac.sparse_nn import ModelConfig, SparseConv
-from pcac.tensor_core import sort_coords
+from pcac.tensor_core import build_pyramid, sort_coords
 
 CFG = ModelConfig(hidden=8, res_blocks=1, mixtures=2)
 
@@ -719,6 +720,187 @@ def test_multi_block_file(model):
         codec.decode_blocks(data, [blocks[0][1]], model)
     with pytest.raises(CorruptStream):
         codec.decode_blocks(b"ZZZZ" + data[4:], [b[1] for b in blocks], model)
+
+
+def file_streams(data):
+    """The block streams of an encode_blocks file, in file order."""
+    off, streams = 13, []
+    while off < len(data):
+        length = int.from_bytes(data[off + 12:off + 16], "little")
+        streams.append(data[off + 20:off + 20 + length])
+        off += 20 + length
+    return streams
+
+
+def small_file(rng, sizes=(40, 1, 60)):
+    """File blocks of about these point counts at x origins 0, 64, ..."""
+    blocks = []
+    for i, n in enumerate(sizes):
+        coords = np.unique(rng.integers(0, 16 if n > 1 else 64,
+                                        size=(n, 3)), axis=0)
+        blocks.append(((64 * i, 0, 0), coords,
+                       rng.integers(0, 256, size=(len(coords), 3))))
+    return blocks
+
+
+def test_file_block_without_points_raises_empty_geometry(model):
+    # in a group an empty block would have no rows and vanish silently
+    blocks = small_file(np.random.default_rng(20))
+    data = codec.encode_blocks(blocks, model)
+    empty = np.empty((0, 3), dtype=np.int64)
+    with pytest.raises(EmptyGeometry):
+        codec.encode_blocks(blocks[:1] + [((64, 0, 0), empty, empty)], model)
+    with pytest.raises(EmptyGeometry):
+        codec.decode_blocks(data, [blocks[0][1], empty, blocks[2][1]], model)
+
+
+def test_file_block_duplicate_names_its_local_coordinate(model):
+    # the third block sits at x + 256 in its group's pyramid; the error
+    # names the coordinate as the block holds it
+    blocks = small_file(np.random.default_rng(21))
+    data = codec.encode_blocks(blocks, model)
+    origin, coords, rgb = blocks[2]
+    dup = np.concatenate([coords, coords[3:4]])
+    dup_rgb = np.concatenate([rgb, rgb[3:4]])
+    name = str(tuple(coords[3].tolist()))
+    with pytest.raises(DuplicateCoordinate, match=re.escape(name)):
+        codec.encode_blocks(blocks[:2] + [(origin, dup, dup_rgb)], model)
+    with pytest.raises(DuplicateCoordinate, match=re.escape(name)):
+        codec.decode_blocks(data, [blocks[0][1], blocks[1][1], dup], model)
+
+
+def test_file_block_rgb_is_checked(model):
+    blocks = small_file(np.random.default_rng(22))
+    origin, coords, rgb = blocks[1]
+    with pytest.raises(ShapeMismatch):
+        codec.encode_blocks(
+            blocks[:1] + [(origin, coords, np.zeros((len(coords) + 1, 3)))],
+            model)
+    for bad in (256, -1, 2.5):
+        wrong = rgb.astype(np.float64)
+        wrong[0, 1] = bad
+        with pytest.raises(SymbolOutOfRange):
+            codec.encode_blocks(blocks[:1] + [(origin, coords, wrong)], model)
+
+
+def test_file_block_outside_its_extent_raises_out_of_range(model):
+    # the lattice keeps blocks apart only for local coordinates in
+    # [0, 64)^3; a lone block's stream takes any geometry in the key range
+    blocks = small_file(np.random.default_rng(23))
+    data = codec.encode_blocks(blocks, model)
+    origin, coords, rgb = blocks[2]
+    for point in ((64, 3, 3), (3, 3, 64), (3, -1, 3)):
+        outside = coords.copy()
+        outside[0] = point
+        with pytest.raises(OutOfRange):
+            codec.encode_blocks(blocks[:2] + [(origin, outside, rgb)], model)
+        with pytest.raises(OutOfRange):
+            codec.decode_blocks(data, [blocks[0][1], blocks[1][1], outside],
+                                model)
+        stream = codec.encode(outside, rgb, model)
+        np.testing.assert_array_equal(
+            codec.decode(outside, stream, model), rgb[sort_coords(outside)])
+
+
+def test_empty_file(model):
+    data = codec.encode_blocks([], model)
+    assert len(data) == 13
+    assert codec.decode_blocks(data, [], model) == []
+
+
+def test_one_block_file_holds_the_encode_stream(model):
+    # a lone block is the one-block case of the same driver
+    blocks = small_file(np.random.default_rng(24), sizes=(90,))
+    _, coords, rgb = blocks[0]
+    [stream] = file_streams(codec.encode_blocks(blocks, model))
+    assert stream == codec.encode(coords, rgb, model)
+
+
+@pytest.mark.parametrize("num_scales", [3, 7])
+def test_block_headers_hold_their_own_pyramid_counts(num_scales):
+    # at 7 scales a 3x3x3 neighbourhood at the top level reaches the next
+    # lattice slot, so every block is coded alone, with its own counts too
+    lockstep = codec.CodecModel(ModelConfig(
+        hidden=8, res_blocks=1, mixtures=2, num_scales=num_scales), seed=0)
+    blocks = small_file(np.random.default_rng(25), sizes=(40, 1, 120, 60))
+    data = codec.encode_blocks(blocks, lockstep)
+    for stream, (_, coords, _) in zip(file_streams(data), blocks):
+        header, _ = codec._parse_header(stream)
+        assert header["counts"] == tuple(
+            len(c) for c in build_pyramid(coords, num_scales).coords)
+    for (_, coords, rgb), (_, back) in zip(
+            blocks, codec.decode_blocks(data, [b[1] for b in blocks],
+                                        lockstep)):
+        np.testing.assert_array_equal(back, rgb[sort_coords(coords)])
+
+
+def test_lockstep_round_trip_at_hidden_64():
+    # at hidden 64 a float32 GEMM row's result depends on the rows it is
+    # computed with, so blocks coded in one group get other spans than
+    # alone, and only a decoder that runs the same group reads them
+    wide = codec.CodecModel(ModelConfig(hidden=64), seed=0)
+    blocks = small_file(np.random.default_rng(0), sizes=(300, 1, 400, 250))
+    data = codec.encode_blocks(blocks, wide)
+    assert any(stream != codec.encode(coords, rgb, wide)
+               for stream, (_, coords, rgb) in zip(file_streams(data), blocks))
+    out = codec.decode_blocks(data, [b[1] for b in blocks], wide)
+    for (origin, coords, rgb), (o2, back) in zip(blocks, out):
+        assert tuple(origin) == o2
+        np.testing.assert_array_equal(back, rgb[sort_coords(coords)])
+
+
+def test_file_across_a_group_boundary_round_trips():
+    # a full 64^3 block fills a group's 262144 points, so the blocks after
+    # it start a second group
+    tiny = codec.CodecModel(ModelConfig(hidden=2, res_blocks=0, mixtures=1,
+                                        latent_channels=1), seed=0)
+    rng = np.random.default_rng(26)
+    cube = np.stack(np.meshgrid(*[np.arange(64)] * 3, indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+    blocks = [((0, 0, 0), cube, rng.integers(0, 256, size=(len(cube), 3)))]
+    blocks += small_file(rng, sizes=(1, 30))
+    assert codec._groups([len(b[1]) for b in blocks], 3) == [(0, 1), (1, 3)]
+    data = codec.encode_blocks(blocks, tiny)
+    out = codec.decode_blocks(data, [b[1] for b in blocks], tiny)
+    for (_, coords, rgb), (_, back) in zip(blocks, out):
+        np.testing.assert_array_equal(back, rgb[sort_coords(coords)])
+
+
+def test_groups_close_at_the_point_and_block_budgets():
+    assert codec.GROUP_POINTS == 64 ** 3 and codec.GROUP_BLOCKS == 8192
+    budget = codec.GROUP_POINTS
+    assert codec._groups([], 3) == []
+    assert codec._groups([budget - 1, 1, 1], 3) == [(0, 2), (2, 3)]
+    assert codec._groups([2, budget + 5, 3], 3) == [(0, 1), (1, 2), (2, 3)]
+    assert codec._groups([1] * 8193, 3) == [(0, 8192), (8192, 8193)]
+    assert codec._groups([1] * 3, 7) == [(0, 1), (1, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("mode", ["mean", "sample"])
+def test_scalable_file_decode_is_valid_and_repeatable(model, mode):
+    blocks = small_file(np.random.default_rng(27), sizes=(120, 1, 80))
+    data = codec.encode_blocks(blocks, model)
+    geometry = [b[1] for b in blocks]
+    for k in (1, 2, 3):
+        first = codec.decode_blocks(data, geometry, model, chunks=k,
+                                    mode=mode, seed=3)
+        again = codec.decode_blocks(data, geometry, model, chunks=k,
+                                    mode=mode, seed=3)
+        for (_, coords, _), (_, rgb), (_, rgb2) in zip(blocks, first, again):
+            assert rgb.shape == (len(coords), 3)
+            assert rgb.min() >= 0 and rgb.max() <= 255
+            np.testing.assert_array_equal(rgb, rgb2)
+
+
+def test_version_5_stream_or_file_is_unsupported(model, coded):
+    coords, stream, data = coded
+    assert codec.VERSION == 6
+    old = stream[:4] + bytes([5]) + stream[5:]
+    with pytest.raises(CorruptStream, match="unsupported version"):
+        codec.decode(coords, old, model)
+    old_file = data[:4] + bytes([5]) + data[5:]
+    with pytest.raises(CorruptStream, match="unsupported file version"):
+        codec.decode_blocks(old_file, [coords], model)
 
 
 def test_block_loss_estimates_track_measured_rate(model):

@@ -1,4 +1,5 @@
-"""Golden parity: streams, CDF hashes, info bits and scalable decodes are pinned.
+"""Golden parity: streams, CDF hashes, info bits and scalable decodes are pinned,
+for two lone blocks and for a three-block file.
 
 Any change to what the codec computes (numerics, chunk layout, rng draw
 order) fails here. Such a change must bump `codec.VERSION` and regenerate
@@ -19,6 +20,7 @@ import pytest
 
 from pcac import codec
 from pcac.sparse_nn import ModelConfig
+from pcac.tensor_core import sort_coords
 
 FIXTURE = Path(__file__).parent / "data" / "golden.json"
 CFG = ModelConfig(hidden=8, res_blocks=1, mixtures=2)
@@ -72,22 +74,58 @@ def record(name, model):
             "scalable": scalable}
 
 
+def file_blocks():
+    """Three file blocks: the small block, one point on the block's x = 63
+    face, and about 250 points of a 24^3 cube drawn with another seed. The
+    point and the third block's x = 0 face would share neighbourhoods on a
+    lattice tighter than 128."""
+    alone = (np.array([[63, 9, 2]]), np.array([[200, 17, 96]]))
+    other = np.random.default_rng(len(BLOCKS))
+    coords = np.unique(other.integers(0, 24, size=(250, 3)), axis=0)
+    rgb = other.integers(0, 256, size=(len(coords), 3))
+    return [((64 * i, 0, 0), c, f)
+            for i, (c, f) in enumerate((block("small"), alone, (coords, rgb)))]
+
+
+def record_file(model):
+    blocks = file_blocks()
+    data = codec.encode_blocks(blocks, model)
+    geometry = [coords for _, coords, _ in blocks]
+    lossless = all(np.array_equal(rgb, f[sort_coords(c)]) for (_, c, f), (
+        _, rgb) in zip(blocks, codec.decode_blocks(data, geometry, model)))
+    scalable = {}
+    for mode, seed in (("mean", 0), ("sample", 7)):
+        scalable[mode] = [short_hash(np.ascontiguousarray(np.concatenate([
+            rgb for _, rgb in codec.decode_blocks(
+                data, geometry, model, chunks=k, mode=mode, seed=seed)]),
+            dtype=np.int64)) for k in (1, 2, 3)]
+    return {"points": [len(c) for c in geometry],
+            "stream": short_hash(data),
+            "lossless": lossless,
+            "scalable": scalable}
+
+
+RECORDS = {"small": lambda m: record("small", m),
+           "large": lambda m: record("large", m),
+           "file": record_file}
+
+
 @pytest.fixture(scope="module")
 def model():
     return codec.CodecModel(CFG, seed=3)
 
 
-@pytest.mark.parametrize("name", BLOCKS)
+@pytest.mark.parametrize("name", RECORDS)
 def test_golden_parity(name, model):
     expected = json.loads(FIXTURE.read_text())
     assert codec.VERSION == expected["version"]
-    assert record(name, model) == expected[name], (
+    assert RECORDS[name](model) == expected[name], (
         f"recorded on {expected['host']}, this host is {host_fingerprint()}")
 
 
 if __name__ == "__main__":
     golden = {"version": codec.VERSION, "host": host_fingerprint()}
-    golden.update({name: record(name, codec.CodecModel(CFG, seed=3))
-                   for name in BLOCKS})
+    golden.update({name: record_of(codec.CodecModel(CFG, seed=3))
+                   for name, record_of in RECORDS.items()})
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps(golden, sort_keys=True) + "\n")

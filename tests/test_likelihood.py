@@ -451,6 +451,29 @@ def test_mixture_cdf_is_pointwise_float32(grid, k):
     test_mixture_cdf_is_pointwise(grid, k, np.float32)
 
 
+@MIXTURE_SIZES
+def test_mixture_terms_of_a_row_slice_are_the_slice_of_its_terms(k):
+    # a file's blocks share one pass: the decoder takes each block's terms
+    # from its own rows and the encoder from the whole pass, so they must
+    # agree bit for bit, on the latent (N, C, K) views and the strided RGB
+    # (N, K) channels, for 1 row, a few and many
+    rng = np.random.default_rng(40 + k)
+    n = 613
+    head = rng.normal(scale=3, size=(n, 5 * 3 * k)).astype(np.float32)
+    rgb_head = rng.normal(scale=3, size=(n, 12 * k)).astype(np.float32)
+    coded = [rng.integers(0, 256, size=n) for _ in range(2)]
+    passes = [lh.unpack_latent_params(head, 5, k)] + [
+        lh.rgb_channel_params(lh.unpack_rgb_params(rgb_head, k), coded[:c])
+        for c in range(3)]
+    for params in passes:
+        whole = lh.mixture_terms(*params)
+        for part in (slice(0, 1), slice(5, 6), slice(3, 77), slice(77, n)):
+            terms = lh.mixture_terms(*(p[part] for p in params))
+            for got, full in zip(terms, whole):
+                assert got.dtype == np.float32
+                assert got.tobytes() == full[part].tobytes()
+
+
 @GRIDS
 def test_pointwise_cdf_rows_are_valid(grid, dtype=np.float64):
     # the rule floor(F(e_m) * (2^16 - M)) + m: rows run from 0 to 2^16 and

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pcac import pc_io
-from pcac.errors import (MalformedHeader, MissingProperty, OutOfRange,
-                         SymbolOutOfRange, UnsupportedFormat)
+from pcac.errors import (EmptyGeometry, MalformedHeader, MissingProperty,
+                         OutOfRange, SymbolOutOfRange, UnsupportedFormat)
 from pcac.tensor_core import build_sparse_tensor
 
 
@@ -122,6 +122,11 @@ def test_voxelize_merges_duplicates_with_mean():
     assert t.coords.tolist() == [[1, 1, 1], [3, 3, 3]]
     assert t.features[0].tolist() == [15.0, 16.0, 201.0]
     assert t.features[1].tolist() == [1.0, 2.0, 3.0]
+
+
+def test_voxelize_rejects_an_empty_cloud():
+    with pytest.raises(EmptyGeometry):
+        pc_io.voxelize(pc_io.PointCloud(np.empty((0, 3)), np.empty((0, 3))), 3)
 
 
 def test_voxelize_range_check():
