@@ -2,10 +2,11 @@
 
 Nodes form a DAG; backward walks nodes in reverse construction order, which
 fixes the reduction order and makes gradients bit-reproducible. A node holds
-a float32 value as float32 and any other value as float64 (`as_float`):
-training graphs are float64 throughout, as their inputs and parameters are,
-and the coder runs the same graphs in float32 without calling backward. No
-broadcasting beyond what each primitive states.
+a float32 value as float32 and any other value as float64 (`as_float`), and
+its gradient in the same dtype. Training and the coder run the same float32
+graphs; parameters are float64 leaves, so their gradients and Adam's moments
+are float64, and each op casts them to its input's dtype. No broadcasting
+beyond what each primitive states.
 
 Adam's moment decays and epsilon are the constants `BETA1`, `BETA2` and
 `EPS`; the caller passes the learning rate of each step (the trainer's

@@ -20,10 +20,13 @@ its own chunks, range coders and span hashes. `encode`, `decode` and
 `decode_scalable` are the one-block case, whose block is not shifted.
 
 Coding runs the encoder and decoder stacks and the mixture CDFs in
-`CODING_DTYPE` (float32); training and `estimate_bits` run the same stacks
-in float64. The coder's output is integer CDFs, so float32 costs no rate,
-but a float32 stream decodes only where the decoder's float32 results are
-bit for bit the encoder's: a mismatch fails the span CRC as a DesyncError.
+`CODING_DTYPE` (float32), and so do training and `estimate_bits`: `block_loss`
+runs the same stacks and quantizer in the same arithmetic, and only its
+likelihood nodes compute in float64. Parameters, their gradients, Adam's
+moments, checkpoints and the digest are float64. The coder's output is
+integer CDFs, so float32 costs no rate, but a float32 stream decodes only
+where the decoder's float32 results are bit for bit the encoder's: a
+mismatch fails the span CRC as a DesyncError.
 """
 
 from __future__ import annotations
@@ -246,8 +249,7 @@ def _normalize_rgb(rgb):
     return np.asarray(rgb, dtype=np.float64) / 127.5 - 1.0
 
 
-def run_encoders(model: CodecModel, rgb, maps: KernelMapCache,
-                 dtype=np.float64):
+def run_encoders(model: CodecModel, rgb, maps: KernelMapCache, dtype):
     """Bottom-up pass in `dtype`; returns the latent preactivation node per
     scale."""
     x = ad.constant(_normalize_rgb(rgb).astype(dtype, copy=False))
@@ -694,7 +696,8 @@ def _estimator(mode: str, seed: int):
 
     def estimate(table):
         if mode == "mean":
-            mass = np.diff(table, axis=-1) @ np.arange(table.shape[1] - 1)
+            # sum_m m (cdf[m+1] - cdf[m]), summed by parts; cdf[M] = TOTAL
+            mass = (table.shape[1] - 2) * rc.TOTAL - table[:, 1:-1].sum(1)
             return (mass + rc.TOTAL // 2) // rc.TOTAL
         # the symbol whose span holds floor(u * TOTAL)
         t = np.floor(rng.random(len(table)) * rc.TOTAL).astype(np.int64)
@@ -764,15 +767,19 @@ def measure_bpp(bitstream: bytes, num_points: int) -> float:
 # -------------------------------------------------------------- loss graphs
 
 def block_loss(model: CodecModel, maps: KernelMapCache, rgb,
-               quant_mode: str = "ste"):
+               quant_mode: str = "ste", dtype=CODING_DTYPE):
     """Differentiable total coding cost (bits) of one block, given as
     `prepare_block` returns it.
 
     Returns (loss node, constant top-scale bits). The constant term is the
-    uniform cost of the top latent; it carries no gradient.
+    uniform cost of the top latent; it carries no gradient. The stacks and
+    the quantizer run in `dtype`, by default the coder's CODING_DTYPE, so
+    in STE mode the symbols and the decoder heads are bit for bit the
+    coder's; the likelihood nodes compute in float64 whatever `dtype` is.
+    Finite-difference oracles pass float64.
     """
     cfg = model.config
-    latent_pre = run_encoders(model, rgb, maps)
+    latent_pre = run_encoders(model, rgb, maps, dtype)
     symbols = [quantize_hard(n.value, model.latent_grid)[0] for n in latent_pre]
     quantized = [quantize_soft(n, model.latent_grid, mode=quant_mode)
                  for n in latent_pre]

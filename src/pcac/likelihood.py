@@ -24,11 +24,13 @@ which neither codes nor trains: `dlm_pmf` (F differenced at the bin edges),
 Precision follows the head output (`autodiff.as_float`): `mixture_terms`,
 `unpack_*_params`, `rgb_channel_params`, `mixture_cdf` and `pointwise_cdf`
 keep float32 parameters in float32, as the coder passes them, and compute
-anything else in float64, as training does. The grid values they mix in
-(the CDF edges and the RGB centers behind the green and blue mean shifts)
-are cast to the parameters' dtype, so no step promotes float32 back to
-float64. `_integer_cdf`, the coder's one integer rule, scales F in float64,
-where F * (2**16 - M) is exact for a float32 F.
+anything else in float64. The grid values they mix in (the CDF edges and
+the RGB centers behind the green and blue mean shifts) are cast to the
+parameters' dtype, so no step promotes float32 back to float64.
+`_integer_cdf`, the coder's one integer rule, scales F in float64, where
+F * (2**16 - M) is exact for a float32 F. The training nodes compute in
+float64 whatever the head's dtype, and return their gradients in it: in
+float32 the tanh differences of tail bins would lose their digits.
 """
 
 from __future__ import annotations
@@ -270,23 +272,28 @@ def _symbol_bits(weight_logits, means, log_scales, symbols,
 
 def latent_bits_node(params: ad.Node, symbols, num_channels: int,
                      num_mixtures: int, grid: SymbolGrid) -> ad.Node:
-    """Total -log2 p of latent symbols (N, C) under the (N, C*3K) head output."""
+    """Total -log2 p of latent symbols (N, C) under the (N, C*3K) head
+    output, computed in float64; the gradient is in the head's dtype."""
     symbols = np.asarray(symbols, dtype=np.int64)
     n = params.value.shape[0]
     if symbols.shape != (n, num_channels):
         raise ShapeMismatch(f"latent symbols {symbols.shape}")
     bits, grads = _symbol_bits(
-        *unpack_latent_params(params.value, num_channels, num_mixtures),
+        *unpack_latent_params(params.value.astype(np.float64, copy=False),
+                              num_channels, num_mixtures),
         symbols, grid)
     return ad.Node(bits, (params,), lambda g: (
-        np.concatenate(grads(g), axis=-1).reshape(n, -1),))
+        np.concatenate(grads(g), axis=-1).reshape(n, -1).astype(
+            params.value.dtype, copy=False),))
 
 
 def rgb_bits_node(params: ad.Node, r, g, b, num_mixtures: int,
                   grid: SymbolGrid = RGB_GRID) -> ad.Node:
-    """Total -log2 p(F) under the channel-autoregressive mixture head."""
+    """Total -log2 p(F) under the channel-autoregressive mixture head,
+    computed in float64; the gradient is in the head's dtype."""
     n = params.value.shape[0]
-    u = unpack_rgb_params(params.value, num_mixtures)
+    u = unpack_rgb_params(params.value.astype(np.float64, copy=False),
+                          num_mixtures)
     c = u[3]
     syms = [np.asarray(v, dtype=np.int64) for v in (r, g, b)]
     channels = [_symbol_bits(*rgb_channel_params(u, syms[:ch], grid),
@@ -300,7 +307,7 @@ def rgb_bits_node(params: ad.Node, r, g, b, num_mixtures: int,
             for col, sym in zip(_SHIFTS[ch], syms):
                 out[..., 3, col] = (out[..., 1, ch] * grid.centers[sym][:, None]
                                     * (1 - c[..., col] * c[..., col]))
-        return (out.reshape(n, -1),)
+        return (out.reshape(n, -1).astype(params.value.dtype, copy=False),)
 
     return ad.Node(sum(bits for bits, _ in channels), (params,), backward)
 

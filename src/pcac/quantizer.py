@@ -60,10 +60,15 @@ def quantize_soft(x: Node, grid: SymbolGrid, mode: str = "ste") -> Node:
     sees); backward uses the gradient of the soft surrogate.
     mode="soft": forward emits the soft surrogate itself (smooth end to end;
     used by gradient-checking oracles).
+    Both run in float64 and return the forward value and the gradient in
+    the dtype of `x`.
     """
     if mode not in ("ste", "soft"):
         raise ValueError(f"unknown quantizer mode {mode!r}")
     # a non-finite input raises NonFiniteInput here, before any softmax
     hard = quantize_hard(x.value, grid)[1] if mode == "ste" else None
     soft, dsoft = soft_assignment(x.value, grid)
-    return Node(soft if hard is None else hard, (x,), lambda g: (g * dsoft,))
+    dtype = x.value.dtype
+    dsoft = dsoft.astype(dtype, copy=False)
+    return Node((soft if hard is None else hard).astype(dtype, copy=False),
+                (x,), lambda g: (g * dsoft,))

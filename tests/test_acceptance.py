@@ -109,7 +109,8 @@ def test_criterion_03_uniform_top_scale_rate(capsys):
 
 def test_criterion_04_gradient_check(capsys):
     # miniature stack, smooth quantizer mode, central differences on two
-    # random entries of every parameter tensor
+    # random entries of every parameter tensor; the stacks run in float64,
+    # as central differences at h = 1e-5 need
     start = time.monotonic()
     cfg = ModelConfig(num_scales=2, hidden=6, latent_channels=5,
                       res_blocks=2, mixtures=2)
@@ -119,11 +120,13 @@ def test_criterion_04_gradient_check(capsys):
     rgb = rng.integers(0, 256, size=(len(coords), 3))
     maps, rgb = codec.prepare_block(coords, rgb, cfg.num_scales)
 
-    loss, _ = codec.block_loss(model, maps, rgb, quant_mode="soft")
+    loss, _ = codec.block_loss(model, maps, rgb, quant_mode="soft",
+                               dtype=np.float64)
     ad.backward(loss)
 
     def f():
-        l, _ = codec.block_loss(model, maps, rgb, quant_mode="soft")
+        l, _ = codec.block_loss(model, maps, rgb, quant_mode="soft",
+                                dtype=np.float64)
         return float(l.value)
 
     h = 1e-5

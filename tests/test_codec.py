@@ -225,6 +225,24 @@ def test_scalable_estimates_match_per_row_reference(model, monkeypatch, mode):
             [syms for syms, _ in estimated[-3:]], axis=1))
 
 
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 300), st.integers(1, 70))
+@settings(max_examples=60, deadline=None)
+def test_mean_estimate_sums_by_parts(seed, num_symbols, num_rows):
+    # the "mean" estimate's mass sum_m m (cdf[m+1] - cdf[m]) is taken by
+    # parts as (M - 1) TOTAL - sum of the interior CDF values: on valid rows
+    # (0 to TOTAL, every width >= 1) it equals the differenced form
+    rng = np.random.default_rng(seed)
+    M, total = num_symbols, codec.rc.TOTAL
+    widths = 1 + rng.multinomial(total - M, rng.dirichlet(np.ones(M)),
+                                 size=num_rows)
+    table = np.zeros((num_rows, M + 1), dtype=np.int64)
+    np.cumsum(widths, axis=1, out=table[:, 1:])
+    assert (table[:, -1] == total).all()
+    mass = np.diff(table, axis=-1) @ np.arange(M)
+    np.testing.assert_array_equal(codec._estimator("mean", 0)(table),
+                                  (mass + total // 2) // total)
+
+
 def _shift_one_row(tables):
     # the interior CDF values of the sixth row of a pass move up by one:
     # still a valid row, but every span of it differs from the encoder's
@@ -953,3 +971,44 @@ def test_stream_does_not_depend_on_blas_threads():
             env=env, check=True, capture_output=True, timeout=60).stdout)
     assert len(streams[1]) > 0
     assert streams[1] == streams[2]
+
+
+def test_block_loss_runs_the_coders_forward(model, monkeypatch):
+    # block_loss in STE mode at its default dtype quantizes to the symbols
+    # `_analyze` codes and gets every decoder head output of `_top_down`,
+    # bit for bit, on the same block
+    coords, rgb = random_block(np.random.default_rng(21), lo=120, hi=200)
+    maps, rgb = codec.prepare_block(coords, rgb, CFG.num_scales)
+    symbols, heads = [], []
+    quantize_hard = codec.quantize_hard
+
+    def recorded_quantize_hard(values, grid):
+        out = quantize_hard(values, grid)
+        symbols.append(out[0])
+        return out
+
+    def recorded_decoder(decoder):
+        def run(*args):
+            params, forward = decoder(*args)
+            heads.append(params.value)
+            return params, forward
+        return run
+
+    monkeypatch.setattr(codec, "quantize_hard", recorded_quantize_hard)
+    monkeypatch.setattr(model, "decoders",
+                        [recorded_decoder(dec) for dec in model.decoders])
+
+    top, passes = codec._analyze(model, maps, rgb)
+    codec._top_down(model, maps, top, lambda chunk, grid, params: next(passes))
+    coded = symbols[:]
+    coded_heads = heads[:]
+    symbols.clear()
+    heads.clear()
+    codec.block_loss(model, maps, rgb)
+    assert len(coded) == len(symbols) == CFG.num_scales
+    for a, b in zip(coded, symbols):
+        assert a.tobytes() == b.tobytes()
+    assert len(coded_heads) == len(heads) == CFG.num_scales
+    for a, b in zip(coded_heads, heads):
+        assert a.dtype == b.dtype == codec.CODING_DTYPE
+        assert a.tobytes() == b.tobytes()

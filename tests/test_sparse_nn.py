@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pcac import autodiff as ad
+from pcac import sparse_nn
 from pcac.errors import ShapeMismatch
 from pcac.sparse_nn import (KernelMapCache, ModelConfig, ResidualBlock,
                             ScaleDecoder, ScaleEncoder, SparseConv,
@@ -191,9 +192,11 @@ def test_sparse_conv_gradients_match_fd():
 
 
 def test_offset_slices_repeat_no_row():
-    # SparseConv adds each offset's products into out[rows_out[a:b]] (and
-    # input gradients into gx[rows_in[a:b]]) by fancy-index +=, which keeps
-    # only one of repeated indices: within a slice no row may repeat
+    # SparseConv adds a row's products in pair order, which is offset order
+    # only if no row repeats within a slice (and the per-offset reference's
+    # fancy-index assignment would keep only one of repeated rows); the rows
+    # of a slice ascend, so a group of one offset sums its products without
+    # reordering them
     rng = np.random.default_rng(8)
     for trial in range(10):
         coords = random_pattern(rng, extent=32, lo=50, hi=400)
@@ -205,7 +208,69 @@ def test_offset_slices_repeat_no_row():
             assert fmap.offset_slices
             for a, b, _ in fmap.offset_slices:
                 for rows in (fmap.rows_in[a:b], fmap.rows_out[a:b]):
-                    assert len(np.unique(rows)) == b - a
+                    assert (np.diff(rows) > 0).all()
+
+
+def per_offset_conv(conv, xv, fmap, g):
+    """[DERIVED] the per-offset loop: each offset gathers its input rows,
+    multiplies by its kernel and adds into its output rows (and back for
+    the gradients), in the dtype of `xv`, the input gradient in that of
+    `g`. Returns (out, gx, gw)."""
+    w = conv.weight.value.astype(xv.dtype, copy=False)
+    out = np.zeros((fmap.n_out, conv.c_out), dtype=xv.dtype)
+    gx = np.zeros((fmap.n_in, conv.c_in), dtype=g.dtype)
+    gw = np.zeros_like(w)
+    for a, b, oi in fmap.offset_slices:
+        ri, ro = fmap.rows_in[a:b], fmap.rows_out[a:b]
+        out[ro] = out[ro] + xv[ri] @ w[oi]
+        gx[ri] = gx[ri] + g[ro] @ w[oi].T
+        gw[oi] = xv[ri].T @ g[ro]
+    out += conv.bias.value.astype(xv.dtype, copy=False)
+    return out, gx, gw
+
+
+def oracle_geometries(rng):
+    # a dense cube (every offset used), random sparse patterns (empty
+    # offsets), isolated points (only the center offset), and a lone point
+    # (single-point levels all the way up)
+    yield np.stack(np.meshgrid(*[np.arange(6)] * 3, indexing="ij"),
+                   -1).reshape(-1, 3)
+    for _ in range(3):
+        yield random_pattern(rng, extent=16, lo=60, hi=300)
+    yield np.array([[0, 0, 0], [9, 9, 9], [20, 3, 14], [31, 31, 0]])
+    yield np.array([[5, 6, 7]])
+
+
+@pytest.mark.parametrize("group_pairs", [sparse_nn.GROUP_PAIRS, 300, 0],
+                         ids=["default-groups", "small-groups",
+                              "offset-per-group"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sparse_conv_equals_per_offset_loop(monkeypatch, dtype, group_pairs):
+    # the rank sums add the same products in the same order as the
+    # per-offset loop: the output, the input gradient and the weight
+    # gradient are bit for bit its, on self maps and up maps, with one
+    # group of offsets or many
+    monkeypatch.setattr(sparse_nn, "GROUP_PAIRS", group_pairs)
+    rng = np.random.default_rng(12)
+    for geometry in oracle_geometries(rng):
+        maps = KernelMapCache(build_pyramid(geometry, 3))
+        fmaps = [(maps.self_map(level), 3) for level in range(4)]
+        fmaps += [(maps.up_map(level), 2) for level in range(1, 4)]
+        # and a map without pairs: every output row is the bias
+        fmaps.append((build_kernel_map(geometry, geometry + 100, 3, 1), 3))
+        for fmap, k in fmaps:
+            conv = SparseConv(5, 7, k, rng)
+            conv.bias.value[...] = rng.normal(size=7)
+            xv = rng.normal(size=(fmap.n_in, 5)).astype(dtype)
+            g = rng.normal(size=(fmap.n_out, 7)).astype(dtype)
+            node = conv(ad.Node(xv), fmap)
+            gx, gw, gb = node.backward_fn(g)
+            expect = per_offset_conv(conv, xv, fmap, g)
+            for got, want in zip((node.value, gx, gw), expect):
+                assert got.dtype == want.dtype == dtype
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            assert gb.tobytes() == g.sum(axis=0).tobytes()
 
 
 def test_transpose_conv_gradients_match_fd():

@@ -3,6 +3,7 @@ import pytest
 
 from pcac import autodiff as ad
 from pcac import codec, pc_io, sparse_nn, trainer
+from pcac import likelihood as lh
 from pcac.errors import EmptyDataset, SymbolOutOfRange
 from pcac.sparse_nn import ModelConfig
 from test_golden import CFG as GOLDEN_CFG
@@ -95,10 +96,12 @@ def test_single_block_training_reuses_validation_pass(monkeypatch):
                for p, w in zip(ckpt.model.parameters(), weights[best]))
 
 
-def test_coding_runs_in_float32_and_training_is_unchanged(monkeypatch):
-    # coding's conv outputs are float32, block_loss's are float64, and one
-    # training epoch on the golden "small" block gives the weights it gave
-    # before coding moved to float32 (digest and loss recorded then)
+def test_coding_and_training_run_float32_stacks(monkeypatch):
+    # coding's and block_loss's conv outputs are float32, the likelihood
+    # nodes' values float64, and parameters and Adam's moments stay float64;
+    # one training epoch on the golden "small" block gives the digest and
+    # loss recorded when training moved to float32 stacks (float64 stacks
+    # gave cd806910cac91f52 and 55.589506488719806)
     dtypes = []
     conv = sparse_nn.SparseConv.__call__
 
@@ -107,7 +110,18 @@ def test_coding_runs_in_float32_and_training_is_unchanged(monkeypatch):
         dtypes.append(out.value.dtype)
         return out
 
+    bits_dtypes = []
+
+    def bits_spy(node_fn):
+        def run(*args, **kwargs):
+            node = node_fn(*args, **kwargs)
+            bits_dtypes.append(node.value.dtype)
+            return node
+        return run
+
     monkeypatch.setattr(sparse_nn.SparseConv, "__call__", spy)
+    for name in ("latent_bits_node", "rgb_bits_node"):
+        monkeypatch.setattr(lh, name, bits_spy(getattr(lh, name)))
     coords, rgb = golden_block("small")
     model = codec.CodecModel(GOLDEN_CFG, seed=3)
     stream = codec.encode(coords, rgb, model)
@@ -119,13 +133,19 @@ def test_coding_runs_in_float32_and_training_is_unchanged(monkeypatch):
     loss, _ = codec.block_loss(
         model, *codec.prepare_block(coords, rgb, GOLDEN_CFG.num_scales))
     assert loss.value.dtype == np.float64
-    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+    assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+    assert len(bits_dtypes) == GOLDEN_CFG.num_scales
+    assert set(bits_dtypes) == {np.dtype(np.float64)}
 
     ckpt = trainer.train([(coords, rgb)], trainer.TrainConfig(max_epochs=1),
                          model=model)
-    assert all(p.value.dtype == np.float64 for p in model.parameters())
-    assert ckpt.model.digest().hex() == "cd806910cac91f52"
-    assert ckpt.metadata["val_bits_per_point"] == 55.589506488719806
+    params = model.parameters()
+    assert all(p.value.dtype == np.float64 for p in params)
+    assert all(p.m.dtype == p.v.dtype == np.float64 for p in params
+               if p.m is not None)
+    assert any(p.m is not None for p in params)
+    assert ckpt.model.digest().hex() == "2bd00c1cc17ee133"
+    assert ckpt.metadata["val_bits_per_point"] == 55.589506489068135
 
 
 def test_train_accepts_pc_io_blocks_and_rejects_empty():
