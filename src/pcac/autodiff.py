@@ -160,7 +160,8 @@ EPS = 1e-8
 
 def adam_step(params, lr: float):
     """One Adam update (bias-corrected) with learning rate `lr` over
-    `params` in fixed order."""
+    `params` in fixed order. The moments and the weights are updated in
+    place, by the textbook update's operations in its order."""
     for p in params:
         g = p.grad
         if g is None:
@@ -169,8 +170,20 @@ def adam_step(params, lr: float):
             p.m = np.zeros_like(p.value)
             p.v = np.zeros_like(p.value)
         p.t += 1
-        p.m = BETA1 * p.m + (1 - BETA1) * g
-        p.v = BETA2 * p.v + (1 - BETA2) * g * g
-        m_hat = p.m / (1 - BETA1 ** p.t)
-        v_hat = p.v / (1 - BETA2 ** p.t)
-        p.value -= lr * m_hat / (np.sqrt(v_hat) + EPS)
+        # m = BETA1 m + (1 - BETA1) g
+        step = np.multiply(g, 1 - BETA1)
+        p.m *= BETA1
+        p.m += step
+        # v = BETA2 v + (1 - BETA2) g g
+        np.multiply(g, 1 - BETA2, out=step)
+        step *= g
+        p.v *= BETA2
+        p.v += step
+        # value -= lr m_hat / (sqrt(v_hat) + EPS)
+        np.divide(p.m, 1 - BETA1 ** p.t, out=step)
+        step *= lr
+        root = np.divide(p.v, 1 - BETA2 ** p.t)
+        np.sqrt(root, out=root)
+        root += EPS
+        step /= root
+        p.value -= step

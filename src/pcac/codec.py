@@ -18,6 +18,7 @@ blocks of a file form a group laid on an x lattice inside one pyramid, with
 one encoder pass and one `_top_down` pass per group, while each block keeps
 its own chunks, range coders and span hashes. `encode`, `decode` and
 `decode_scalable` are the one-block case, whose block is not shifted.
+Training groups its blocks on the same lattice (`prepare_groups`).
 
 Coding runs the encoder and decoder stacks and the mixture CDFs in
 `CODING_DTYPE` (float32), and so do training and `estimate_bits`: `block_loss`
@@ -271,18 +272,21 @@ GROUP_POINTS = BLOCK_EXTENT ** 3
 GROUP_BLOCKS = (1 << COORD_BITS) // LATTICE
 
 
-def _groups(sizes, num_scales: int):
-    """[start, stop) of each group of blocks with these point counts, in
-    file order. A group closes before the block that would take it past
-    GROUP_POINTS points or GROUP_BLOCKS blocks; a larger block is a group of
-    its own. A model whose top level's stride is above BLOCK_EXTENT codes
-    every block alone: a 3x3x3 neighbourhood at that stride reaches the
-    next lattice slot."""
-    most = GROUP_BLOCKS if 1 << num_scales <= BLOCK_EXTENT else 1
+def _groups(sizes, num_scales: int, most_points: int = GROUP_POINTS,
+            most_blocks: int = GROUP_BLOCKS, alone=frozenset()):
+    """[start, stop) of each group of consecutive blocks with these sizes.
+    A group closes before the block that would take it past `most_points`
+    summed sizes or `most_blocks` blocks; a larger block, and a block whose
+    index is in `alone`, is a group of its own. A model whose top level's
+    stride is above BLOCK_EXTENT puts every block alone: a 3x3x3
+    neighbourhood at that stride reaches the next lattice slot."""
+    if 1 << num_scales > BLOCK_EXTENT:
+        most_blocks = 1
     bounds, points = [0], 0
     for j, n in enumerate(sizes):
-        if j > bounds[-1] and (points + n > GROUP_POINTS
-                               or j - bounds[-1] == most):
+        if j > bounds[-1] and (points + n > most_points
+                               or j - bounds[-1] == most_blocks
+                               or j in alone or j - 1 in alone):
             bounds.append(j)
             points = 0
         points += n
@@ -347,13 +351,17 @@ def _block_rgb(rgb_features, num_points: int):
     return rgb.astype(np.int64)
 
 
+def _in_extent(geometry):
+    return geometry.min() >= 0 and geometry.max() < BLOCK_EXTENT
+
+
 def _file_geometry(geometry):
     """A file block's geometry: EmptyGeometry without points, OutOfRange
     outside [0, BLOCK_EXTENT)^3, where the lattice needs it."""
     geometry = _block_geometry(geometry)
     if not len(geometry):
         raise EmptyGeometry("a file block has no points")
-    if geometry.min() < 0 or geometry.max() >= BLOCK_EXTENT:
+    if not _in_extent(geometry):
         raise OutOfRange(f"file block coordinates outside "
                          f"[0, {BLOCK_EXTENT})^3")
     return geometry
@@ -368,6 +376,36 @@ def prepare_block(geometry, rgb_features, num_scales: int):
     rgb = _block_rgb(rgb_features, len(geometry))
     group = _BlockGroup([geometry], num_scales)
     return group.maps, rgb[group.order]
+
+
+def pyramid_points(maps: KernelMapCache) -> int:
+    """Points of a pyramid, summed over all its levels."""
+    return sum(len(c) for c in maps.pyramid.coords)
+
+
+def prepare_groups(blocks, num_scales: int, most_blocks: int,
+                   most_points: int):
+    """Training's lockstep: blocks as `prepare_block` returns them, merged
+    by `_groups` into runs of consecutive blocks of at most `most_blocks`
+    blocks (and GROUP_BLOCKS) and `most_points` pyramid points summed over
+    all levels, each laid out as a `_BlockGroup`. A block outside
+    [0, BLOCK_EXTENT)^3 is a group of its own. Returns (kernel maps, RGB in
+    pyramid order, block count) of each group; a lone block keeps its own
+    maps and RGB."""
+    spans = _groups([pyramid_points(maps) for maps, _ in blocks], num_scales,
+                    most_points, min(most_blocks, GROUP_BLOCKS),
+                    {j for j, (maps, _) in enumerate(blocks)
+                     if not _in_extent(maps.pyramid.coords[0])})
+    out = []
+    for start, stop in spans:
+        if stop - start == 1:
+            out.append((*blocks[start], 1))
+            continue
+        group = _BlockGroup([maps.pyramid.coords[0]
+                             for maps, _ in blocks[start:stop]], num_scales)
+        rgb = np.concatenate([rgb for _, rgb in blocks[start:stop]])
+        out.append((group.maps, rgb[group.order], stop - start))
+    return out
 
 
 def _analyze(model: CodecModel, maps: KernelMapCache, rgb):

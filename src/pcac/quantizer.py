@@ -39,18 +39,27 @@ def dequantize(symbols, grid: SymbolGrid):
     return grid.centers[np.asarray(symbols, dtype=np.int64)]
 
 
-def soft_assignment(values, grid: SymbolGrid):
+def soft_assignment(values, grid: SymbolGrid, value: bool = True):
     """Differentiable surrogate, softmax(-(v-c)^2 / T) expectation of the
-    centers, and its elementwise derivative d/dv, from one softmax."""
+    centers, and its elementwise derivative d/dv, from one softmax.
+    value=False returns None for the surrogate, which STE never reads."""
     v = np.asarray(values, dtype=np.float64)[..., None]
     c = grid.centers
-    d2 = -((v - c) ** 2) / TEMPERATURE
-    d2 = d2 - d2.max(axis=-1, keepdims=True)
-    w = np.exp(d2)
+    diff = v - c
+    w = np.square(diff)
+    np.negative(w, out=w)
+    w /= TEMPERATURE
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
-    da = -2.0 * (v - c) / TEMPERATURE  # d logits / dv
-    dw = w * (da - (w * da).sum(axis=-1, keepdims=True))
-    return (w * c).sum(axis=-1), (dw * c).sum(axis=-1)
+    soft = (w * c).sum(axis=-1) if value else None
+    # dw = w (da - sum(w da)), da = d logits / dv = -2 (v - c) / T
+    da = np.multiply(diff, -2.0, out=diff)
+    da /= TEMPERATURE
+    da -= (w * da).sum(axis=-1, keepdims=True)
+    da *= w
+    da *= c
+    return soft, da.sum(axis=-1)
 
 
 def quantize_soft(x: Node, grid: SymbolGrid, mode: str = "ste") -> Node:
@@ -67,7 +76,7 @@ def quantize_soft(x: Node, grid: SymbolGrid, mode: str = "ste") -> Node:
         raise ValueError(f"unknown quantizer mode {mode!r}")
     # a non-finite input raises NonFiniteInput here, before any softmax
     hard = quantize_hard(x.value, grid)[1] if mode == "ste" else None
-    soft, dsoft = soft_assignment(x.value, grid)
+    soft, dsoft = soft_assignment(x.value, grid, value=hard is None)
     dtype = x.value.dtype
     dsoft = dsoft.astype(dtype, copy=False)
     return Node((soft if hard is None else hard).astype(dtype, copy=False),

@@ -10,7 +10,8 @@ import numpy as np
 
 from .autodiff import adam_step, backward
 from .codec import (CodecModel, ModelCheckpoint, block_loss, encode_blocks,
-                    measure_bpp, prepare_block)
+                    measure_bpp, prepare_block, prepare_groups,
+                    pyramid_points)
 from .errors import EmptyDataset
 from .pc_io import load_blocks
 from .tensor_core import build_pyramid  # noqa: F401  perfbench traces it here
@@ -41,15 +42,34 @@ def _as_pairs(blocks):
             for b in blocks]
 
 
+def _batches(groups, order, batch_size: int):
+    """The groups in `order`, cut into batches: a batch takes groups while
+    it holds at most `batch_size` blocks."""
+    batch, count = [], 0
+    for i in order:
+        if batch and count + groups[i][2] > batch_size:
+            yield batch, count
+            batch, count = [], 0
+        batch.append(groups[i])
+        count += groups[i][2]
+    yield batch, count
+
+
 def train(blocks, config: TrainConfig | None = None,
           model: CodecModel | None = None,
           time_budget_s: float | None = None,
           log=None) -> ModelCheckpoint:
     """Fit the stack on a set of blocks; returns the best-validation checkpoint.
 
-    Fully deterministic for a given seed: the validation split, per-epoch
-    shuffle, and gradient accumulation order are all derived from it.
-    `max_epochs` and `batch_size` below 1 raise ValueError.
+    Blocks train in lockstep: once per run, the training and the validation
+    blocks, each in the seeded order, are merged into groups of consecutive
+    blocks (`prepare_groups`), each group one pyramid and one graph of at
+    most `batch_size` blocks and no more pyramid points than the largest
+    training block's. Each epoch shuffles whole groups into batches of at
+    most `batch_size` blocks and divides a batch's gradient by its block
+    count. Fully deterministic for a given seed, which fixes the validation
+    split, the groups and each epoch's shuffle. `max_epochs` and
+    `batch_size` below 1 raise ValueError.
     """
     config = config or TrainConfig()
     if config.max_epochs < 1 or config.batch_size < 1:
@@ -59,14 +79,18 @@ def train(blocks, config: TrainConfig | None = None,
     pairs = _as_pairs(blocks)
     if not pairs:
         raise EmptyDataset("no training blocks")
-    data = [prepare_block(g, f, model.config.num_scales) for g, f in pairs]
+    num_scales = model.config.num_scales
+    data = [prepare_block(g, f, num_scales) for g, f in pairs]
 
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(data))
     n_val = int(round(VAL_FRACTION * len(data)))
     n_val = min(n_val, len(data) - 1)
-    val = [data[i] for i in order[:n_val]]
-    tr = [data[i] for i in order[n_val:]]
+    most_points = max(pyramid_points(data[i][0]) for i in order[n_val:])
+    val, tr = (prepare_groups([data[i] for i in part], num_scales,
+                              config.batch_size, most_points)
+               for part in (order[:n_val], order[n_val:]))
+    del data  # the groups hold what training needs
     if not val:  # tiny datasets: early-stop on the training loss
         val = tr
 
@@ -75,31 +99,30 @@ def train(blocks, config: TrainConfig | None = None,
     bad_epochs = 0
     start = time.monotonic()
     history = []
-    # One block that is also the validation set: each validation pass is
+    # One group that is also the validation set: each validation pass is
     # exactly the next epoch's training forward pass (same weights, same
-    # block), so its graph is carried over instead of being rebuilt.
+    # group), so its graph is carried over instead of being rebuilt.
     reuse = val is tr and len(tr) == 1
     carried = None
 
     for epoch in range(config.max_epochs):
-        perm = rng.permutation(len(tr))
-        for lo in range(0, len(tr), config.batch_size):
-            batch = [tr[i] for i in perm[lo:lo + config.batch_size]]
+        for batch, count in _batches(tr, rng.permutation(len(tr)),
+                                     config.batch_size):
             for p in params:
                 p.grad = None
-            for d in batch:
-                loss, _ = carried or block_loss(model, *d)
+            for maps, rgb, _ in batch:
+                loss, _ = carried or block_loss(model, maps, rgb)
                 carried = None
                 backward(loss)
             for p in params:
                 if p.grad is not None:
-                    p.grad /= len(batch)
+                    p.grad /= count
             adam_step(params, config.lr_at(epoch))
             model.mark_dirty()
 
         val_bits = 0.0
         val_points = 0
-        for maps, rgb in val:
+        for maps, rgb, _ in val:
             loss, const = block_loss(model, maps, rgb)
             if reuse:
                 carried = (loss, const)

@@ -121,3 +121,27 @@ def test_adam_moments_are_allocated_on_first_step():
     assert p.t == 1
     np.testing.assert_array_equal(p.m, (1 - ad.BETA1) * p.grad)
     np.testing.assert_array_equal(p.v, (1 - ad.BETA2) * p.grad * p.grad)
+
+
+def test_adam_matches_the_textbook_update_bit_for_bit():
+    # the in-place update against Adam as written in the paper (Kingma and
+    # Ba, Algorithm 1), evaluated operation by operation in this order
+    rng = np.random.default_rng(8)
+    init = rng.normal(size=(4, 5))
+    p = ad.Parameter(init.copy())
+    value, m, v = init.copy(), np.zeros_like(init), np.zeros_like(init)
+    for t in range(1, 8):
+        g = rng.normal(scale=10.0 ** rng.integers(-4, 2), size=init.shape)
+        p.grad = g.copy()
+        lr = TrainConfig().lr_at(t)
+        ad.adam_step([p], lr)
+        m = ad.BETA1 * m + (1 - ad.BETA1) * g
+        v = ad.BETA2 * v + (1 - ad.BETA2) * g * g
+        m_hat = m / (1 - ad.BETA1 ** t)
+        v_hat = v / (1 - ad.BETA2 ** t)
+        value = value - lr * m_hat / (np.sqrt(v_hat) + ad.EPS)
+        assert p.t == t
+        np.testing.assert_array_equal(p.m, m)
+        np.testing.assert_array_equal(p.v, v)
+        np.testing.assert_array_equal(p.value, value)
+        np.testing.assert_array_equal(p.grad, g)  # the gradient is kept

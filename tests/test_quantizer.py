@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from pcac import autodiff as ad
 from pcac.errors import NonFiniteInput
 from pcac.likelihood import SymbolGrid
-from pcac.quantizer import (dequantize, quantize_hard, quantize_soft,
-                            soft_assignment)
+from pcac.quantizer import (TEMPERATURE, dequantize, quantize_hard,
+                            quantize_soft, soft_assignment)
 from pcac.sparse_nn import ModelConfig
 
 GRID = SymbolGrid(ModelConfig().num_bins)  # the model's latent grid
@@ -98,3 +98,43 @@ def test_ste_rejects_non_finite_input_before_the_softmax():
         warnings.simplefilter("error")  # a softmax of NaN would warn
         with pytest.raises(NonFiniteInput):
             quantize_soft(ad.Node(np.array([0.5, np.nan])), GRID)
+
+
+def reference_soft_assignment(values, grid):
+    # the textbook surrogate, written out: softmax of -(v - c)^2 / T, its
+    # expectation of the centers and the derivative of that expectation
+    v = np.asarray(values, dtype=np.float64)[..., None]
+    c = grid.centers
+    d2 = -((v - c) ** 2) / TEMPERATURE
+    d2 = d2 - d2.max(axis=-1, keepdims=True)
+    w = np.exp(d2)
+    w /= w.sum(axis=-1, keepdims=True)
+    da = -2.0 * (v - c) / TEMPERATURE
+    dw = w * (da - (w * da).sum(axis=-1, keepdims=True))
+    return (w * c).sum(axis=-1), (dw * c).sum(axis=-1)
+
+
+@pytest.mark.parametrize("scale", [0.3, 1.0, 3.0, 30.0])
+def test_soft_assignment_is_the_reference_formula_bit_for_bit(scale):
+    # STE reads only the derivative, soft mode the value and the derivative;
+    # both are the reference's bits, for float32 and float64 inputs
+    rng = np.random.default_rng(11)
+    for dtype in (np.float32, np.float64):
+        v = (scale * rng.normal(size=(40, 3))).astype(dtype)
+        value, deriv = reference_soft_assignment(v, GRID)
+        soft, dsoft = soft_assignment(v, GRID)
+        np.testing.assert_array_equal(soft, value)
+        np.testing.assert_array_equal(dsoft, deriv)
+        none, dste = soft_assignment(v, GRID, value=False)
+        assert none is None
+        np.testing.assert_array_equal(dste, deriv)
+
+        node = ad.Node(v)
+        ste = quantize_soft(node, GRID, mode="ste")
+        ad.backward(ad.sum_all(ste))
+        np.testing.assert_array_equal(node.grad, deriv.astype(dtype))
+        node = ad.Node(v)
+        soft_node = quantize_soft(node, GRID, mode="soft")
+        np.testing.assert_array_equal(soft_node.value, value.astype(dtype))
+        ad.backward(ad.sum_all(soft_node))
+        np.testing.assert_array_equal(node.grad, deriv.astype(dtype))

@@ -12,9 +12,9 @@ from test_golden import block as golden_block
 CFG = ModelConfig(hidden=8, res_blocks=1, mixtures=2)
 
 
-def smooth_block(rng, extent=8):
+def smooth_block(rng, extent=8, points=120):
     # spatially correlated colors: cheap to overfit
-    coords = np.unique(rng.integers(0, extent, size=(120, 3)), axis=0)
+    coords = np.unique(rng.integers(0, extent, size=(points, 3)), axis=0)
     base = 128 + 60 * np.sin(coords.sum(axis=1) / 5.0)
     rgb = np.clip(base[:, None] + rng.integers(-5, 5, size=(len(coords), 3)),
                   0, 255).astype(np.int64)
@@ -202,3 +202,130 @@ def test_evaluate_reports_rate_and_average(tmp_path):
     assert rows[-1]["points"] == total_points
     with pytest.raises(EmptyDataset):
         trainer.evaluate([], model)
+
+
+def multi_blocks(seed, count=7):
+    # one large block and smaller ones inside [0, 64)^3, as a file's blocks
+    # are
+    rng = np.random.default_rng(seed)
+    return [smooth_block(rng, extent=16, points=600)] + [
+        smooth_block(rng, extent=int(e), points=int(n))
+        for e, n in zip(rng.integers(5, 12, size=count - 1),
+                        rng.integers(10, 200, size=count - 1))]
+
+
+def test_a_group_is_the_sum_of_its_blocks():
+    # one graph over a group: its loss is the blocks' summed losses, and its
+    # gradients are the blocks' accumulated gradients up to float32 sums
+    model = codec.CodecModel(CFG, seed=1)
+    params = model.parameters()
+    data = [codec.prepare_block(g, f, CFG.num_scales)
+            for g, f in multi_blocks(6, 4)]
+    [(maps, rgb, count)] = codec.prepare_groups(
+        data, CFG.num_scales, 4, sum(codec.pyramid_points(m) for m, _ in data))
+    assert count == 4 and len(rgb) == sum(len(r) for _, r in data)
+
+    def run(items):
+        for p in params:
+            p.grad = None
+        bits = 0.0
+        for m, r in items:
+            loss, const = codec.block_loss(model, m, r)
+            bits += float(loss.value) + const
+            ad.backward(loss)
+        return bits, [p.grad for p in params]
+
+    bits, grads = run(data)
+    group_bits, group_grads = run([(maps, rgb)])
+    assert group_bits == pytest.approx(bits, rel=1e-12)
+    assert [g is None for g in grads] == [h is None for h in group_grads]
+    for g, h in zip(grads, group_grads):
+        if g is not None:
+            assert np.abs(h - g).max() <= 1e-5 * np.abs(g).max()
+
+
+def test_groups_respect_the_block_and_point_budgets():
+    data = [codec.prepare_block(g, f, CFG.num_scales)
+            for g, f in multi_blocks(7, 9)]
+    sizes = [codec.pyramid_points(m) for m, _ in data]
+    groups = codec.prepare_groups(data, CFG.num_scales, 3, max(sizes))
+    assert sum(n for *_, n in groups) == len(data)
+    assert max(n for *_, n in groups) <= 3 and len(groups) < len(data)
+    at = 0
+    for maps, rgb, n in groups:
+        # consecutive blocks, their RGB in the group's pyramid order
+        assert codec.pyramid_points(maps) == sum(sizes[at:at + n])
+        assert codec.pyramid_points(maps) <= max(sizes)
+        np.testing.assert_array_equal(
+            rgb, np.concatenate([r for _, r in data[at:at + n]]))
+        at += n
+    # a lone block keeps its own maps
+    lone = codec.prepare_groups(data[:1], CFG.num_scales, 3, max(sizes))
+    assert lone[0][0] is data[0][0] and lone[0][1] is data[0][1]
+
+
+def test_out_of_extent_blocks_and_deep_models_train_alone():
+    blocks = multi_blocks(8, 5)
+    far = blocks[2][0] + [60, 0, 0]  # reaches past x = 63
+    blocks[2] = (far, blocks[2][1])
+    data = [codec.prepare_block(g, f, CFG.num_scales) for g, f in blocks]
+    groups = codec.prepare_groups(data, CFG.num_scales, 8, 10 ** 6)
+    assert [n for *_, n in groups] == [2, 1, 2]
+    assert groups[1][0] is data[2][0]
+    # six scales still group: the top stride is BLOCK_EXTENT
+    data = [codec.prepare_block(g, f, 6) for g, f in multi_blocks(8, 5)]
+    assert len(codec.prepare_groups(data, 6, 8, 10 ** 6)) == 1
+    data = [codec.prepare_block(g, f, 7) for g, f in blocks]
+    assert [n for *_, n in codec.prepare_groups(data, 7, 8, 10 ** 6)] == \
+        [1] * 5
+    deep = ModelConfig(num_scales=7, hidden=4, res_blocks=0, mixtures=1)
+    ckpt = trainer.train(blocks, trainer.TrainConfig(max_epochs=1),
+                         model=codec.CodecModel(deep, seed=0))
+    assert np.isfinite(ckpt.metadata["val_bits_per_point"])
+
+
+def test_batches_hold_at_most_batch_size_blocks(monkeypatch):
+    # the block count of each backward pass, batched by the Adam steps
+    groups, counts, batches = {}, {}, [[]]
+    real_groups, real_loss = trainer.prepare_groups, trainer.block_loss
+    real_backward, real_adam = trainer.backward, trainer.adam_step
+
+    def spy_groups(*args):
+        out = real_groups(*args)
+        groups.update((id(maps), n) for maps, _, n in out)
+        return out
+
+    def spy_loss(model, maps, rgb):
+        loss, const = real_loss(model, maps, rgb)
+        counts[id(loss)] = groups[id(maps)]
+        return loss, const
+
+    def spy_backward(loss):
+        batches[-1].append(counts[id(loss)])
+        return real_backward(loss)
+
+    def spy_adam(params, lr):
+        batches.append([])
+        return real_adam(params, lr)
+
+    for name, spy in (("prepare_groups", spy_groups), ("block_loss", spy_loss),
+                      ("backward", spy_backward), ("adam_step", spy_adam)):
+        monkeypatch.setattr(trainer, name, spy)
+    trainer.train(multi_blocks(9, 12),
+                  trainer.TrainConfig(max_epochs=2, batch_size=3),
+                  model=codec.CodecModel(CFG, seed=0))
+    steps = batches[:-1]
+    assert sum(map(sum, steps)) == 2 * 11  # 11 training blocks, 2 epochs
+    assert all(0 < sum(b) <= 3 for b in steps)
+    assert any(len(b) > 1 for b in steps) and max(groups.values()) > 1
+
+
+def test_multi_block_training_is_repeatable():
+    blocks = multi_blocks(10, 12)
+    cfg = trainer.TrainConfig(max_epochs=2, batch_size=4, seed=3)
+
+    def run():
+        ckpt = trainer.train(blocks, cfg, model=codec.CodecModel(CFG, seed=3))
+        return ckpt.model.digest(), ckpt.metadata["val_bits_per_point"]
+
+    assert run() == run()
