@@ -9,9 +9,12 @@ bitstream; it is a decode-side input.
 One top-down driver, `_top_down`, runs that chain for `encode`, `decode`,
 `decode_scalable` and `quantized_info_bits`. They differ only in what they do
 with the mixture of each coding pass: code the known symbols' spans, read
-symbols against full integer CDF rows or estimate them from those rows when
-their chunk is missing from the stream, or sum the spans' information
-content.
+symbols against the decoder's integer CDF rows or estimate them from full
+rows when their chunk is missing from the stream, or sum the spans'
+information content. A latent symbol is one span of a full row. A colour
+symbol is two (`lh.two_level_spans`): its bucket's coarse symbol, then its
+fine symbol inside the bucket, and a block's colour pass codes every coarse
+symbol before the first fine one.
 
 Every entry point codes blocks in lockstep (`_lockstep`): consecutive
 blocks of a file form a group laid on an x lattice inside one pyramid, with
@@ -38,6 +41,7 @@ import struct
 import zipfile
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -54,7 +58,7 @@ from .tensor_core import COORD_BITS, build_pyramid, sorted_runs
 
 MAGIC = b"MNET"
 FILE_MAGIC = b"MNEF"
-VERSION = 6
+VERSION = 7
 # the float dtype of coding: the conv stacks and the mixture CDFs
 CODING_DTYPE = np.float32
 
@@ -493,40 +497,81 @@ def header_size(num_scales: int) -> int:
 
 # ------------------------------------------------------------------- coding
 
-# Points per block of the decoder's integer CDF rows, which decode reads
-# and scalable decode also estimates missing chunks from. Every row, stream
-# and decode is the same for any block size, which sets only speed and
-# memory: at 64 points an RGB block's float32 edge buffer is
-# 64 x 10 x 257 x 4 B = 0.66 MB (K = 10, M = 256) and stays in a 2 MB L2
-# cache through the in-place steps of `mixture_cdf`. Timed when coding was
-# float64 (buffers twice as large), decode and scalable decode ran level
-# (within run-to-run noise) at 32, 64, 128 and 256 points on both benchmark
-# inputs; 2048 made a 42 MB buffer.
-_CDF_CHUNK_ROWS = 64
+# Entries per table of the decoder's integer CDF rows, which decode reads
+# and scalable decode also estimates missing chunks from: a table holds as
+# many points as fit, and at least one. Every row, stream and decode is the
+# same for any budget, which sets only speed and memory: a full RGB table
+# of 64 rows of 257 entries has a float32 edge buffer of
+# 64 x 10 x 257 x 4 B = 0.66 MB (K = 10), which stays in a 2 MB L2 cache
+# through the in-place steps of `mixture_cdf`, and the colour chunk's rows
+# of 17 entries and the latent rows of 27 fill the same budget.
+_CDF_ENTRIES = 64 * 257
 
 
-def _spans(grid: lh.SymbolGrid, params, symbols):
-    """(lo, hi) of each coded symbol of a pass in coding order: the pointwise
-    CDF at the symbol's two edges, over the whole pass at once."""
+def _spans(grid: lh.SymbolGrid, params, symbols, two_level: bool):
+    """(lo, hi) of the coded symbols of a pass in coding order, over the
+    whole pass at once: each (1, symbols), the pointwise CDF at a symbol's
+    two edges, or with `two_level` (the colour chunk) each (2, symbols), the
+    coarse spans (`lh.two_level_spans`) then the fine ones."""
     w, mu, s = lh.mixture_terms(*params)
     symbols = symbols.reshape(mu.shape[:-1])
-    cdf = lh.pointwise_cdf(w, mu, s, grid,
-                           np.stack([symbols, symbols + 1], axis=-1))
-    return cdf[..., 0].reshape(-1), cdf[..., 1].reshape(-1)
+    if two_level:
+        lo, hi = lh.two_level_spans(w, mu, s, grid, symbols)
+    else:
+        cdf = lh.pointwise_cdf(w, mu, s, grid,
+                               np.stack([symbols, symbols + 1], axis=-1))
+        lo, hi = cdf[None, ..., 0], cdf[None, ..., 1]
+    return lo.reshape(len(lo), -1), hi.reshape(len(hi), -1)
+
+
+def _tables(cdf_rows, terms, width: int, *per_point):
+    """The integer CDF rows cdf_rows(w, mu, s, *per_point) of a pass's
+    points in coding order, `width` entries each, as one table per block of
+    points of at most _CDF_ENTRIES entries. `terms` are the pass's
+    `lh.mixture_terms`; every step is row-wise (the softmax sums each row's
+    K weights alone), so the rows of a slice of a pass's points are bit for
+    bit those of the whole pass."""
+    mu = terms[1]
+    step = max(1, _CDF_ENTRIES // (width * int(np.prod(mu.shape[1:-1]))))
+    for lo in range(0, len(mu), step):
+        rows = slice(lo, lo + step)
+        yield cdf_rows(*(a[rows] for a in (*terms, *per_point))).reshape(
+            -1, width)
 
 
 def _cdf_tables(grid: lh.SymbolGrid, params):
-    """The full integer CDF rows of a pass's points in coding order, as one
-    (rows, M+1) table per block of points; F at every edge of a row, bit for
-    bit the values `_spans` takes at two of them. Every step is row-wise
-    (`mixture_terms`' softmax sums each row's K weights alone), so the rows
-    of a slice of a pass's points are bit for bit those of the whole pass."""
-    w, mu, s = lh.mixture_terms(*params)
+    """The full one-level integer CDF rows of a pass: F at every edge of a
+    row, bit for bit the values the one-level `_spans` takes at two."""
     edges = np.arange(grid.num_symbols + 1)
-    for lo in range(0, len(mu), _CDF_CHUNK_ROWS):
-        rows = slice(lo, lo + _CDF_CHUNK_ROWS)
-        yield lh.pointwise_cdf(w[rows], mu[rows], s[rows], grid,
-                               edges).reshape(-1, len(edges))
+    return _tables(lambda w, mu, s: lh.pointwise_cdf(w, mu, s, grid, edges),
+                   lh.mixture_terms(*params), len(edges))
+
+
+def _read_tables(decoder: rc.RangeDecoder, add, tables):
+    """One symbol per row of each table, read by `decoder`; add(lo, hi)
+    gets the spans read."""
+    out = []
+    for table in tables:
+        syms = decoder.decode_table(table)
+        at = np.arange(len(syms))
+        add(table[at, syms], table[at, syms + 1])
+        out.append(syms)
+    return np.concatenate(out)
+
+
+def _read_two_level(decoder: rc.RangeDecoder, add, grid: lh.SymbolGrid,
+                    params):
+    """The colour symbols of a block's rows: first every row's coarse
+    symbol against `lh.coarse_cdf` rows, then every row's fine symbol
+    against the `lh.fine_cdf` rows of its bucket, the order in which the
+    encoder codes their `_spans`."""
+    terms = lh.mixture_terms(*params)
+    coarse = _read_tables(decoder, add, _tables(
+        partial(lh.coarse_cdf, grid=grid), terms,
+        grid.num_symbols // lh.BUCKET + 1))
+    fine = _read_tables(decoder, add, _tables(
+        partial(lh.fine_cdf, grid=grid), terms, lh.BUCKET + 1, coarse))
+    return lh.BUCKET * coarse + fine
 
 
 class _SpanHash:
@@ -623,11 +668,15 @@ def _encode_group(model: CodecModel, group: _BlockGroup, rgb, debug: bool):
 
     def write(chunk, grid, params):
         syms = next(passes)
-        lo, hi = _spans(grid, params, syms)
-        width = cfg.latent_channels if chunk < cfg.num_scales else 1
+        colour = chunk == cfg.num_scales
+        lo, hi = _spans(grid, params, syms, colour)
+        width = 1 if colour else cfg.latent_channels
         for j, rows in enumerate(group.rows(cfg.num_scales - chunk, width)):
-            encoders[j][chunk - 1].encode_spans(lo[rows], hi[rows])
-            spans[j].add(chunk - 1, lo[rows], hi[rows])
+            # a block's coarse spans, then its fine ones, in one call
+            block_lo = lo[:, rows].reshape(-1)
+            block_hi = hi[:, rows].reshape(-1)
+            encoders[j][chunk - 1].encode_spans(block_lo, block_hi)
+            spans[j].add(chunk - 1, block_lo, block_hi)
         return syms
 
     _top_down(model, group.maps, top, write)
@@ -670,8 +719,8 @@ def _decode_streams(geometries, streams, model: CodecModel, estimators,
     """(RGB symbols, span hash) of every block, decoded in lockstep from its
     `_read_stream` (header, chunks). The symbols of a chunk missing from a
     block's stream (allowed only with `estimators`, one per block) come from
-    its estimator, called per block of the same integer CDF rows a coded
-    chunk is read against."""
+    its estimator, called per table of the pass's full one-level integer CDF
+    rows (`_cdf_tables`), the colour chunk's too."""
     geometries = [_block_geometry(g) for g in geometries]
     out = []
     for start, stop, group in _lockstep(geometries, model.config.num_scales):
@@ -702,14 +751,17 @@ def _decode_group(model: CodecModel, group: _BlockGroup, chunks, estimators,
     def read(chunk, grid, params):
         out = []
         for j, rows in enumerate(group.rows(cfg.num_scales - chunk)):
-            for table in _cdf_tables(grid, [p[rows] for p in params]):
-                if chunk > len(decoders[j]):
-                    out.append(estimators[j](table))
-                    continue
-                syms = decoders[j][chunk - 1].decode_table(table)
-                at = np.arange(len(syms))
-                spans[j].add(chunk - 1, table[at, syms], table[at, syms + 1])
-                out.append(syms)
+            block = [p[rows] for p in params]
+            if chunk > len(decoders[j]):
+                out += [estimators[j](t) for t in _cdf_tables(grid, block)]
+                continue
+            decoder = decoders[j][chunk - 1]
+            add = partial(spans[j].add, chunk - 1)
+            if chunk == cfg.num_scales:
+                out.append(_read_two_level(decoder, add, grid, block))
+            else:
+                out.append(_read_tables(decoder, add,
+                                        _cdf_tables(grid, block)))
         return np.concatenate(out)
 
     rgb = _top_down(model, group.maps,
@@ -798,7 +850,10 @@ def chunk_lengths(bitstream: bytes):
 
 
 def measure_bpp(bitstream: bytes, num_points: int) -> float:
-    assert num_points > 0
+    """Bits per point of a stream over `num_points` points; EmptyGeometry
+    below one point."""
+    if num_points < 1:
+        raise EmptyGeometry(f"bits per point of {num_points} points")
     return 8.0 * len(bitstream) / num_points
 
 
@@ -818,9 +873,10 @@ def block_loss(model: CodecModel, maps: KernelMapCache, rgb,
     """
     cfg = model.config
     latent_pre = run_encoders(model, rgb, maps, dtype)
-    symbols = [quantize_hard(n.value, model.latent_grid)[0] for n in latent_pre]
-    quantized = [quantize_soft(n, model.latent_grid, mode=quant_mode)
-                 for n in latent_pre]
+    hard = [quantize_hard(n.value, model.latent_grid) for n in latent_pre]
+    symbols = [h[0] for h in hard]
+    quantized = [quantize_soft(n, model.latent_grid, mode=quant_mode,
+                               hard=h[1]) for n, h in zip(latent_pre, hard)]
 
     terms = []
     forwarded = None
@@ -854,7 +910,7 @@ def quantized_info_bits(model: CodecModel, geometry, rgb_features) -> float:
     def count(chunk, grid, params):
         nonlocal total
         syms = next(passes)
-        lo, hi = _spans(grid, params, syms)
+        lo, hi = _spans(grid, params, syms, chunk == model.config.num_scales)
         total += -np.log2((hi - lo) / rc.TOTAL).sum()
         return syms
 

@@ -14,7 +14,11 @@ weights, means and scales, and `_half_logits` gives each component's
 `mixture_cdf` serves coding and evaluation: the coder takes its integer
 CDFs from `pointwise_cdf`, which needs F only at the edges it is asked for
 and gives the encoder (two edges per symbol), the decoder (whole rows) and
-the estimates of a scalable decode the same integers. For training,
+the estimates of a scalable decode the same integers. The colour chunk
+codes each symbol in two levels of BUCKET symbols: `two_level_spans` gives
+the encoder's spans (four edges per symbol), and `coarse_cdf` and
+`fine_cdf` the decoder's rows of BUCKET + 1 entries, bit for bit the same
+integers. For training,
 `latent_bits_node` and `rgb_bits_node` each make one autodiff node of the
 total -log2 p of the coded symbols, whose backward is the analytic gradient
 of that likelihood. Tests, oracles and `pcac self-check` use the pmf side,
@@ -159,6 +163,71 @@ def pointwise_cdf(w, mu, s, grid: SymbolGrid, edge_index):
     m = np.asarray(edge_index, dtype=np.int64)
     return _integer_cdf(mixture_cdf(w, mu, s, grid.cdf_edges[m]), m,
                         grid.num_symbols)
+
+
+# The two-level alphabet of the colour chunk: symbol s of a grid of M
+# symbols, M a multiple of BUCKET, is coded as the coarse symbol s // BUCKET,
+# then the fine symbol s % BUCKET inside its bucket, so the decoder evaluates
+# F at 2 (BUCKET + 1) edges of a row rather than at all M + 1.
+BUCKET = 16
+
+
+def _coarse_cdf(F, m, M: int):
+    """`_integer_cdf` of F at the bucket ends `m` (multiples of BUCKET in
+    0..M): the coarse alphabet of M // BUCKET symbols."""
+    return _integer_cdf(F, m // BUCKET, M // BUCKET)
+
+
+def _fine_cdf(F, m, M: int):
+    """The integer CDF of the fine symbol at edge indices `m` (..., E) of
+    one bucket, whose first and last columns are the bucket's two ends:
+    `_integer_cdf` of G = (F(m) - F(lo)) / (F(hi) - F(lo)) at the offsets
+    m - lo, with BUCKET symbols. G is computed in float64 from F, fixed at 0
+    and 1 at the grid's end edges and capped at 1 (float32 weights can sum
+    to an ulp above it), so it is monotone and in [0, 1]; a bucket that is
+    flat (F(hi) == F(lo)) takes G = offset / BUCKET."""
+    F = np.array(F, dtype=np.float64)
+    np.copyto(F, 0.0, where=m == 0)
+    np.minimum(F, 1.0, out=F)
+    np.copyto(F, 1.0, where=m == M)
+    lo, hi = F[..., :1], F[..., -1:]
+    offset = m - m[..., :1]
+    G = offset / BUCKET
+    np.divide(F - lo, hi - lo, out=G, where=hi != lo)
+    return _integer_cdf(G, offset, BUCKET)
+
+
+def two_level_spans(w, mu, s, grid: SymbolGrid, symbols):
+    """The encoder's two spans of each symbol (...): (lo, hi), each
+    (2, ...), row 0 the coarse symbol's span and row 1 the fine symbol's.
+    F is taken at four edges per symbol, its bucket's two ends and its own
+    two edges, bit for bit the entries of `coarse_cdf` and `fine_cdf`."""
+    M = grid.num_symbols
+    sym = np.asarray(symbols, dtype=np.int64)
+    start = sym - sym % BUCKET
+    m = np.stack([start, sym, sym + 1, start + BUCKET], axis=-1)
+    F = mixture_cdf(w, mu, s, grid.cdf_edges[m])
+    coarse = _coarse_cdf(F[..., ::3], m[..., ::3], M)
+    fine = _fine_cdf(F, m, M)
+    return (np.stack([coarse[..., 0], fine[..., 1]]),
+            np.stack([coarse[..., 1], fine[..., 2]]))
+
+
+def coarse_cdf(w, mu, s, grid: SymbolGrid):
+    """The decoder's coarse rows (..., M // BUCKET + 1): F at the bucket
+    ends 0, BUCKET, .., M."""
+    m = np.arange(0, grid.num_symbols + 1, BUCKET)
+    return _coarse_cdf(mixture_cdf(w, mu, s, grid.cdf_edges[m]), m,
+                       grid.num_symbols)
+
+
+def fine_cdf(w, mu, s, coarse, grid: SymbolGrid):
+    """The decoder's fine rows (..., BUCKET + 1) inside the buckets of the
+    coarse symbols `coarse` (...): F at the BUCKET + 1 edges of each."""
+    m = BUCKET * np.asarray(coarse, dtype=np.int64)[..., None] \
+        + np.arange(BUCKET + 1)
+    return _fine_cdf(mixture_cdf(w, mu, s, grid.cdf_edges[m]), m,
+                     grid.num_symbols)
 
 
 def unpack_latent_params(params, num_channels: int, num_mixtures: int):

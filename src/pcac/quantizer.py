@@ -62,20 +62,26 @@ def soft_assignment(values, grid: SymbolGrid, value: bool = True):
     return soft, da.sum(axis=-1)
 
 
-def quantize_soft(x: Node, grid: SymbolGrid, mode: str = "ste") -> Node:
+def quantize_soft(x: Node, grid: SymbolGrid, mode: str = "ste",
+                  hard=None) -> Node:
     """Quantization node for the training graph.
 
     mode="ste": forward emits the hard center values (exactly what the coder
-    sees); backward uses the gradient of the soft surrogate.
+    sees); backward uses the gradient of the soft surrogate. `hard`, if
+    given, holds those values as `quantize_hard(x.value, grid)` returned
+    them, so a caller that already quantized does not quantize again.
     mode="soft": forward emits the soft surrogate itself (smooth end to end;
-    used by gradient-checking oracles).
+    used by gradient-checking oracles), and ignores `hard`.
     Both run in float64 and return the forward value and the gradient in
     the dtype of `x`.
     """
     if mode not in ("ste", "soft"):
         raise ValueError(f"unknown quantizer mode {mode!r}")
-    # a non-finite input raises NonFiniteInput here, before any softmax
-    hard = quantize_hard(x.value, grid)[1] if mode == "ste" else None
+    if mode == "soft":
+        hard = None
+    elif hard is None:
+        # a non-finite input raises NonFiniteInput here, before any softmax
+        hard = quantize_hard(x.value, grid)[1]
     soft, dsoft = soft_assignment(x.value, grid, value=hard is None)
     dtype = x.value.dtype
     dsoft = dsoft.astype(dtype, copy=False)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import zlib
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcac import codec, trainer
+from pcac import codec, quantizer, trainer
 from pcac import likelihood as lh
+from pcac.autodiff import backward
 from pcac.errors import (ChecksumFailure, CorruptStream, DesyncError,
                          DigestMismatch, DuplicateCoordinate, EmptyGeometry,
                          InvalidCdf, ModelMismatch, OutOfRange, PcacError,
@@ -136,29 +138,43 @@ def test_encode_is_deterministic_and_cdfs_agree(model):
 
 
 def test_cdf_block_tables_are_the_one_call_table(monkeypatch):
-    # the decoder's rows come block by block; together they are the pass's
-    # table computed in one call, bit for bit
+    # the decoder's rows come block by block, as many points as fit in the
+    # entry budget; together they are the pass's rows computed in one call,
+    # bit for bit, for full one-level rows and for the colour chunk's coarse
+    # and fine rows
     rng = np.random.default_rng(9)
     grid = lh.SymbolGrid(7)
     params = (rng.normal(size=(9, 2, 3)), rng.normal(size=(9, 2, 3)),
               rng.normal(size=(9, 2, 3)) - 2)
-    monkeypatch.setattr(codec, "_CDF_CHUNK_ROWS", 4)
+    monkeypatch.setattr(codec, "_CDF_ENTRIES", 64)
     tables = list(codec._cdf_tables(grid, params))
+    # 2 rows of 8 entries per point: 4 points per table
     assert [len(t) for t in tables] == [8, 8, 2]
     table = lh.pointwise_cdf(*lh.mixture_terms(*params), grid,
                              np.arange(8)).reshape(-1, 8)
     assert hashlib.sha256(b"".join(t.tobytes() for t in tables)).hexdigest() \
         == hashlib.sha256(table.tobytes()).hexdigest()
 
+    terms = lh.mixture_terms(rng.normal(size=(9, 4)), rng.normal(size=(9, 4)),
+                             rng.normal(size=(9, 4)) - 3)
+    coarse = rng.integers(0, 16, size=9)
+    monkeypatch.setattr(codec, "_CDF_ENTRIES", 3 * 17)
+    for rows, per_point in ((lh.coarse_cdf, ()), (lh.fine_cdf, (coarse,))):
+        tables = list(codec._tables(partial(rows, grid=lh.RGB_GRID), terms,
+                                    17, *per_point))
+        assert [len(t) for t in tables] == [3, 3, 3]
+        np.testing.assert_array_equal(
+            np.concatenate(tables), rows(*terms, *per_point, grid=lh.RGB_GRID))
+
 
 def test_cdf_block_size_is_not_part_of_the_format(model, monkeypatch):
-    # the CDF block size bounds memory only: every consumer is row-wise
+    # the table entry budget bounds memory only: every consumer is row-wise
     coords, rgb = random_block(np.random.default_rng(13), lo=250, hi=400)
-    default = codec._CDF_CHUNK_ROWS
-    assert len(coords) > default
+    default = codec._CDF_ENTRIES
+    assert len(coords) > default // 257
 
-    def run(rows, mode):
-        monkeypatch.setattr(codec, "_CDF_CHUNK_ROWS", rows)
+    def run(entries, mode):
+        monkeypatch.setattr(codec, "_CDF_ENTRIES", entries)
         stream, enc = codec.encode(coords, rgb, model, debug=True)
         back, dec = codec.decode(coords, stream, model, debug=True)
         scalable = [codec.decode_scalable(
@@ -168,8 +184,8 @@ def test_cdf_block_size_is_not_part_of_the_format(model, monkeypatch):
                 scalable, codec.quantized_info_bits(model, coords, rgb))
 
     for mode in ("sample", "mean"):
-        assert run(1, mode) == run(7, mode) == run(2048, mode) == \
-            run(default, mode)
+        assert run(1, mode) == run(100, mode) == run(7 * 257, mode) == \
+            run(2048 * 257, mode) == run(default, mode)
 
 
 def reference_estimate(row, mode, rng):
@@ -254,23 +270,46 @@ def _shift_one_row(tables):
 
 @pytest.mark.parametrize("chunk", [1, 3])
 def test_decoder_cdf_desync_raises(model, monkeypatch, chunk):
+    # every table the decoder reads comes from `_tables`: chunk 1 is the
+    # first call, and chunk 3 (RGB) starts at the third, the red channel's
+    # coarse rows
     coords, rgb = random_block(np.random.default_rng(14), lo=100, hi=200)
     stream = codec.encode(coords, rgb, model)
-    tables = codec._cdf_tables
-    passes = []
+    tables = codec._tables
+    calls = []
 
-    def shifted(grid, params):
-        passes.append(grid)
-        out = tables(grid, params)
-        # chunk 1 is the first pass, chunk 3 (RGB) starts at the third
-        return _shift_one_row(out) if len(passes) == chunk else out
+    def shifted(*args):
+        calls.append(args)
+        out = tables(*args)
+        return _shift_one_row(out) if len(calls) == chunk else out
 
-    monkeypatch.setattr(codec, "_cdf_tables", shifted)
+    monkeypatch.setattr(codec, "_tables", shifted)
     with pytest.raises(DesyncError):
         codec.decode(coords, stream, model)
-    passes.clear()
+    calls.clear()
     with pytest.raises(DesyncError):
         codec.decode_scalable(coords, stream, model)
+
+
+def test_corrupt_fine_colour_row_raises_desync(model, monkeypatch):
+    # a fine row of the colour chunk that is not the encoder's: the decoded
+    # spans differ, and the chunk's span CRC catches it
+    coords, rgb = random_block(np.random.default_rng(14), lo=100, hi=200)
+    stream = codec.encode(coords, rgb, model)
+    fine = lh.fine_cdf
+    calls = []
+
+    def shifted(*args, **kwargs):
+        rows = fine(*args, **kwargs)
+        calls.append(len(rows))
+        if len(calls) == 2:  # the green channel's
+            rows[5, 1:-1] += 1
+        return rows
+
+    monkeypatch.setattr(lh, "fine_cdf", shifted)
+    with pytest.raises(DesyncError):
+        codec.decode(coords, stream, model)
+    assert len(calls) >= 2
 
 
 def test_encoder_rejects_zero_width_span(model, monkeypatch):
@@ -559,8 +598,12 @@ def test_longer_prefixes_do_not_hurt(model):
 
 
 def test_measure_bpp():
-    # [TRIVIAL] 1250 bytes over 1000 points = 10 bits per point
+    # 1250 bytes over 1000 points = 10 bits per point; no points is a typed
+    # error, not an assert that `python -O` would strip
     assert codec.measure_bpp(b"\0" * 1250, 1000) == 10.0
+    for points in (0, -3):
+        with pytest.raises(EmptyGeometry):
+            codec.measure_bpp(b"\0" * 10, points)
 
 
 def test_checkpoint_round_trip(tmp_path, model):
@@ -911,14 +954,16 @@ def test_scalable_file_decode_is_valid_and_repeatable(model, mode):
 
 
 def test_version_5_stream_or_file_is_unsupported(model, coded):
+    # and version 6, whose colour chunk is one-level
     coords, stream, data = coded
-    assert codec.VERSION == 6
-    old = stream[:4] + bytes([5]) + stream[5:]
-    with pytest.raises(CorruptStream, match="unsupported version"):
-        codec.decode(coords, old, model)
-    old_file = data[:4] + bytes([5]) + data[5:]
-    with pytest.raises(CorruptStream, match="unsupported file version"):
-        codec.decode_blocks(old_file, [coords], model)
+    assert codec.VERSION == 7
+    for version in (5, 6):
+        old = stream[:4] + bytes([version]) + stream[5:]
+        with pytest.raises(CorruptStream, match="unsupported version"):
+            codec.decode(coords, old, model)
+        old_file = data[:4] + bytes([version]) + data[5:]
+        with pytest.raises(CorruptStream, match="unsupported file version"):
+            codec.decode_blocks(old_file, [coords], model)
 
 
 def test_block_loss_estimates_track_measured_rate(model):
@@ -1012,3 +1057,36 @@ def test_block_loss_runs_the_coders_forward(model, monkeypatch):
     for a, b in zip(coded_heads, heads):
         assert a.dtype == b.dtype == codec.CODING_DTYPE
         assert a.tobytes() == b.tobytes()
+
+
+def test_block_loss_quantizes_each_latent_once(model, monkeypatch):
+    # block_loss hands quantize_hard's values to quantize_soft instead of
+    # quantizing again: one quantization per latent, and the loss and every
+    # gradient are bit for bit those of quantizing twice
+    coords, rgb = random_block(np.random.default_rng(22), lo=120, hi=200)
+    maps, rgb = codec.prepare_block(coords, rgb, CFG.num_scales)
+
+    def loss_and_grads():
+        for p in model.parameters():
+            p.grad = None
+        loss, const = codec.block_loss(model, maps, rgb)
+        backward(loss)
+        # the unread forward convs get no gradient
+        return loss.value.tobytes(), const, [
+            None if p.grad is None else p.grad.tobytes()
+            for p in model.parameters()]
+
+    calls = []
+    for module in (codec, quantizer):
+        def counted(values, grid, original=module.quantize_hard):
+            calls.append(len(values))
+            return original(values, grid)
+        monkeypatch.setattr(module, "quantize_hard", counted)
+    once = loss_and_grads()
+    assert len(calls) == CFG.num_scales
+    soft = codec.quantize_soft
+    monkeypatch.setattr(codec, "quantize_soft",
+                        lambda x, grid, mode, hard: soft(x, grid, mode))
+    calls.clear()
+    assert loss_and_grads() == once
+    assert len(calls) == 2 * CFG.num_scales

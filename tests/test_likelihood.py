@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pcac import autodiff as ad
 from pcac import likelihood as lh
+from pcac import range_coder as rc
 from pcac.errors import DegeneratePmf, ShapeMismatch, SymbolOutOfRange
 
 
@@ -518,6 +519,90 @@ def test_pointwise_cdf_rejects_non_finite_mixtures():
     mu[1, 0] = np.nan
     with pytest.raises(DegeneratePmf):
         lh.pointwise_cdf(w, mu, s, lh.RGB_GRID, np.arange(257))
+
+
+def _valid_rows(rows):
+    assert rows.dtype == np.int64
+    assert np.all(rows[..., 0] == 0) and np.all(rows[..., -1] == 1 << 16)
+    assert np.diff(rows, axis=-1).min() >= 1
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 4, 10]))
+@settings(max_examples=25, deadline=None)
+def test_two_level_spans_are_the_decoder_rows(seed, k):
+    # float32 mixtures in the shapes the codec uses: the encoder's coarse and
+    # fine spans of every symbol 0..255 (a mixture per symbol, four edges
+    # each) are the entries of the decoder's coarse rows (17 edges per
+    # mixture) and fine rows (17 edges per mixture and bucket), bit for bit
+    rng = np.random.default_rng(seed)
+    n, B, grid = 6, lh.BUCKET, lh.RGB_GRID
+    raw = random_mixture(rng, (n,), k)
+    terms = lh.mixture_terms(*(a.astype(np.float32) for a in raw))
+    symbols = np.tile(np.arange(256), n)
+    lo, hi = lh.two_level_spans(*(np.repeat(a, 256, axis=0) for a in terms),
+                                grid, symbols)
+    coarse = lh.coarse_cdf(*terms, grid)
+    fine = lh.fine_cdf(*(np.repeat(a, 256 // B, axis=0) for a in terms),
+                       np.tile(np.arange(256 // B), n), grid)
+    assert coarse.shape == (n, 256 // B + 1) and fine.shape == (n * 16, B + 1)
+    _valid_rows(coarse)
+    _valid_rows(fine)
+    row, h, i = np.repeat(np.arange(n), 256), symbols // B, symbols % B
+    np.testing.assert_array_equal(lo[0], coarse[row, h])
+    np.testing.assert_array_equal(hi[0], coarse[row, h + 1])
+    np.testing.assert_array_equal(lo[1], fine[row * 16 + h, i])
+    np.testing.assert_array_equal(hi[1], fine[row * 16 + h, i + 1])
+
+
+def test_flat_buckets_code_uniformly_and_round_trip():
+    # one narrow float32 component near either end of the grid: F is 0 or 1
+    # in float32 at both ends of most buckets, whose fine rows are then
+    # uniform (G = i / 16), and symbols in them round-trip
+    grid, B = lh.RGB_GRID, lh.BUCKET
+    symbols = np.array([0, 5, 15, 16, 37, 100, 200, 240, 255])
+    bucket = symbols // B
+    for mean in (-0.9, 0.9):
+        w, mu, s = (np.full((len(symbols), 1), v, dtype=np.float32)
+                    for v in (1.0, mean, np.exp(lh.LOG_SCALE_MIN)))
+        ends = lh.mixture_cdf(w, mu, s, grid.cdf_edges[
+            B * bucket[:, None] + [0, B]])
+        ends[bucket == 0, 0] = 0.0
+        ends[bucket == 256 // B - 1, 1] = 1.0
+        flat = ends[:, 0] == ends[:, 1]
+        assert flat.sum() >= 6
+        lo, hi = lh.two_level_spans(w, mu, s, grid, symbols)
+        enc = rc.RangeEncoder()
+        enc.encode_spans(lo.reshape(-1), hi.reshape(-1))
+        dec = rc.RangeDecoder(enc.finish())
+        coarse = dec.decode_table(lh.coarse_cdf(w, mu, s, grid))
+        fine_rows = lh.fine_cdf(w, mu, s, coarse, grid)
+        fine = dec.decode_table(fine_rows)
+        np.testing.assert_array_equal(B * coarse + fine, symbols)
+        uniform = np.arange(B + 1) * ((1 << 16) // B)
+        np.testing.assert_array_equal(
+            fine_rows[flat], np.broadcast_to(uniform, (flat.sum(), B + 1)))
+
+
+def test_two_level_rows_stay_valid_when_float32_weights_sum_past_one():
+    # float32 weights whose sum rounds to 1 + 2**-23: in the top bucket F
+    # starts just below 1 and ends just above it, before the end edge fixes
+    # it at 1. Capping F at 1 keeps G in [0, 1]; uncapped, G would reach 3
+    # and the fine row would run past 2**16.
+    grid, B = lh.RGB_GRID, lh.BUCKET
+    w = np.array([[np.nextafter(np.float32(1), np.float32(0)), 2e-7]],
+                 dtype=np.float32)
+    mu = np.array([[-1.0, grid.cdf_edges[248]]], dtype=np.float32)
+    s = np.full((1, 2), np.exp(lh.LOG_SCALE_MIN), dtype=np.float32)
+    F = lh.mixture_cdf(w, mu, s, grid.cdf_edges[240:256])
+    assert F[0, 0] < 1 < F[0, -1]
+    rows = lh.fine_cdf(w, mu, s, np.array([15]), grid)
+    _valid_rows(rows)
+    symbols = np.arange(240, 256)
+    lo, hi = lh.two_level_spans(np.repeat(w, B, axis=0),
+                                np.repeat(mu, B, axis=0),
+                                np.repeat(s, B, axis=0), grid, symbols)
+    np.testing.assert_array_equal(lo[1], rows[0, :-1])
+    np.testing.assert_array_equal(hi[1], rows[0, 1:])
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16, int],
