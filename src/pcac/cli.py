@@ -145,22 +145,32 @@ def _cmd_self_check(args):
     def check(name, ok):
         checks.setdefault(name, []).append(bool(ok))
 
-    # range coder round trip
+    # the rows the coder reads, in the coder's dtype, of random mixtures:
+    # latent `pointwise_cdf` rows and colour coarse and fine rows run from 0
+    # to TOTAL with every width >= 1, and random symbols, coded against them
+    # as the codec codes a pass, read back through `decode_table`
+    latent_edges = np.arange(model.latent_grid.num_symbols + 1)
     for _ in range(20):
-        m = int(rng.integers(2, 300))
-        pmf = rng.dirichlet(np.ones(m))
-        cdf = lh.build_cdf_table(pmf)[0]
-        syms = rng.integers(0, m, size=int(rng.integers(1, 500)))
-        data = rc.encode_with_cdfs(syms, np.asarray(cdf))
-        back = rc.decode_with_cdfs(data, np.asarray(cdf), len(syms))
-        check("range coder round trip", np.array_equal(syms, back))
-    # the coder's CDF rule, in the coder's dtype: rows run from 0 to TOTAL
-    # and strictly increase
-    mixtures = rng.normal(size=(3, 50, 10)).astype(codec.CODING_DTYPE)
-    rows = lh.pointwise_cdf(*lh.mixture_terms(*mixtures), lh.RGB_GRID,
-                            np.arange(lh.RGB_GRID.num_symbols + 1))
-    check("pointwise cdf rows",
-          (rows[:, [0, -1]] == [0, rc.TOTAL]).all() and np.diff(rows).min() > 0)
+        n, k = int(rng.integers(1, 300)), int(rng.integers(1, 11))
+        w, mu, log_s = rng.normal(size=(3, n, k)).astype(codec.CODING_DTYPE)
+        terms = lh.mixture_terms(w, mu, log_s - 2)
+        colour = rng.integers(0, lh.RGB_GRID.num_symbols, size=n)
+        tables = [lh.pointwise_cdf(*terms, model.latent_grid, latent_edges),
+                  lh.coarse_cdf(*terms, grid=lh.RGB_GRID),
+                  lh.fine_cdf(*terms, colour // lh.BUCKET, grid=lh.RGB_GRID)]
+        check("pointwise cdf rows", all(
+            (t[:, [0, -1]] == [0, rc.TOTAL]).all() and np.diff(t).min() > 0
+            for t in tables))
+        syms = [rng.integers(0, tables[0].shape[1] - 1, size=n),
+                colour // lh.BUCKET, colour % lh.BUCKET]
+        at = np.arange(n)
+        enc = rc.RangeEncoder()
+        for t, s in zip(tables, syms):
+            enc.encode_spans(t[at, s], t[at, s + 1])
+        dec = rc.RangeDecoder(enc.finish())
+        check("range coder round trip", all(
+            np.array_equal(dec.decode_table(t), s)
+            for t, s in zip(tables, syms)))
     # codec round trip on a small random block
     coords = np.unique(rng.integers(0, 16, size=(200, 3)), axis=0)
     rgb = rng.integers(0, 256, size=(len(coords), 3))

@@ -9,8 +9,8 @@ bitstream; it is a decode-side input.
 One top-down driver, `_top_down`, runs that chain for `encode`, `decode`,
 `decode_scalable` and `quantized_info_bits`. They differ only in what they do
 with the mixture of each coding pass: code the known symbols' spans, read
-symbols against the decoder's integer CDF rows or estimate them from full
-rows when their chunk is missing from the stream, or sum the spans'
+symbols against the decoder's integer CDF rows with the chunk's range
+decoder, or with an estimator when it is missing, or sum the spans'
 information content. A latent symbol is one span of a full row. A colour
 symbol is two (`lh.two_level_spans`): its bucket's coarse symbol, then its
 fine symbol inside the bucket, and a block's colour pass codes every coarse
@@ -500,12 +500,12 @@ def header_size(num_scales: int) -> int:
 # Entries per table of the decoder's integer CDF rows, which decode reads
 # and scalable decode also estimates missing chunks from: a table holds as
 # many points as fit, and at least one. Every row, stream and decode is the
-# same for any budget, which sets only speed and memory: a full RGB table
-# of 64 rows of 257 entries has a float32 edge buffer of
-# 64 x 10 x 257 x 4 B = 0.66 MB (K = 10), which stays in a 2 MB L2 cache
-# through the in-place steps of `mixture_cdf`, and the colour chunk's rows
-# of 17 entries and the latent rows of 27 fill the same budget.
-_CDF_ENTRIES = 64 * 257
+# same for any budget, which sets only speed and memory: the float32 edge
+# buffer of a full table is 10 x 16448 x 4 B = 0.66 MB at K = 10 mixtures,
+# which stays in a 2 MB L2 cache through the in-place steps of
+# `mixture_cdf`, whether its rows are the colour chunk's 17 entries or the
+# latent chunks' 27.
+_CDF_ENTRIES = 16448
 
 
 def _spans(grid: lh.SymbolGrid, params, symbols, two_level: bool):
@@ -540,36 +540,36 @@ def _tables(cdf_rows, terms, width: int, *per_point):
 
 
 def _cdf_tables(grid: lh.SymbolGrid, params):
-    """The full one-level integer CDF rows of a pass: F at every edge of a
+    """The full integer CDF rows of a latent pass: F at every edge of a
     row, bit for bit the values the one-level `_spans` takes at two."""
     edges = np.arange(grid.num_symbols + 1)
     return _tables(lambda w, mu, s: lh.pointwise_cdf(w, mu, s, grid, edges),
                    lh.mixture_terms(*params), len(edges))
 
 
-def _read_tables(decoder: rc.RangeDecoder, add, tables):
-    """One symbol per row of each table, read by `decoder`; add(lo, hi)
-    gets the spans read."""
+def _read_tables(read_table, add, tables):
+    """One symbol per row of each table, read by read_table(table), a
+    chunk's `RangeDecoder.decode_table` or the estimator of a missing chunk;
+    add(lo, hi) gets the spans read."""
     out = []
     for table in tables:
-        syms = decoder.decode_table(table)
+        syms = read_table(table)
         at = np.arange(len(syms))
         add(table[at, syms], table[at, syms + 1])
         out.append(syms)
     return np.concatenate(out)
 
 
-def _read_two_level(decoder: rc.RangeDecoder, add, grid: lh.SymbolGrid,
-                    params):
+def _read_two_level(read_table, add, grid: lh.SymbolGrid, params):
     """The colour symbols of a block's rows: first every row's coarse
     symbol against `lh.coarse_cdf` rows, then every row's fine symbol
     against the `lh.fine_cdf` rows of its bucket, the order in which the
     encoder codes their `_spans`."""
     terms = lh.mixture_terms(*params)
-    coarse = _read_tables(decoder, add, _tables(
+    coarse = _read_tables(read_table, add, _tables(
         partial(lh.coarse_cdf, grid=grid), terms,
         grid.num_symbols // lh.BUCKET + 1))
-    fine = _read_tables(decoder, add, _tables(
+    fine = _read_tables(read_table, add, _tables(
         partial(lh.fine_cdf, grid=grid), terms, lh.BUCKET + 1, coarse))
     return lh.BUCKET * coarse + fine
 
@@ -717,10 +717,9 @@ def _read_stream(bitstream: bytes, model: CodecModel, scalable: bool):
 def _decode_streams(geometries, streams, model: CodecModel, estimators,
                     debug: bool = False):
     """(RGB symbols, span hash) of every block, decoded in lockstep from its
-    `_read_stream` (header, chunks). The symbols of a chunk missing from a
-    block's stream (allowed only with `estimators`, one per block) come from
-    its estimator, called per table of the pass's full one-level integer CDF
-    rows (`_cdf_tables`), the colour chunk's too."""
+    `_read_stream` (header, chunks). A chunk missing from a block's stream
+    (allowed only with `estimators`, one per block) is read by its block's
+    estimator, against the rows a coded chunk is read against."""
     geometries = [_block_geometry(g) for g in geometries]
     out = []
     for start, stop, group in _lockstep(geometries, model.config.num_scales):
@@ -736,31 +735,31 @@ def _decode_streams(geometries, streams, model: CodecModel, estimators,
 
 def _decode_group(model: CodecModel, group: _BlockGroup, chunks, estimators,
                   debug: bool):
-    """One top-down pass over a group: each block reads its own chunks with
-    its own range decoders, on CDF tables built inside its slice of the
-    pass, or estimates a chunk its stream lacks."""
+    """One top-down pass over a group: each block reads its own chunks, on
+    CDF tables built inside its slice of the pass, with one table reader per
+    chunk: the chunk's range decoder, or the block's estimator for a chunk
+    its stream lacks. An estimated chunk's span hash is never checked."""
     cfg = model.config
     top = np.concatenate([
         rc.decode_uniform(block[0], rows.stop - rows.start, cfg.num_bins)
         for block, rows in zip(chunks, group.rows(cfg.num_scales,
                                                   cfg.latent_channels))])
-    decoders = [[rc.RangeDecoder(c[:-4]) for c in block[1:]]
-                for block in chunks]
+    readers = [[rc.RangeDecoder(c[:-4]).decode_table for c in block[1:]]
+               for block in chunks]
+    for block, estimate in zip(readers, estimators or ()):
+        block += [estimate] * (cfg.num_scales - len(block))
     spans = [_SpanHash(cfg.num_scales, debug) for _ in chunks]
 
     def read(chunk, grid, params):
         out = []
         for j, rows in enumerate(group.rows(cfg.num_scales - chunk)):
             block = [p[rows] for p in params]
-            if chunk > len(decoders[j]):
-                out += [estimators[j](t) for t in _cdf_tables(grid, block)]
-                continue
-            decoder = decoders[j][chunk - 1]
+            read_table = readers[j][chunk - 1]
             add = partial(spans[j].add, chunk - 1)
             if chunk == cfg.num_scales:
-                out.append(_read_two_level(decoder, add, grid, block))
+                out.append(_read_two_level(read_table, add, grid, block))
             else:
-                out.append(_read_tables(decoder, add,
+                out.append(_read_tables(read_table, add,
                                         _cdf_tables(grid, block)))
         return np.concatenate(out)
 
@@ -777,9 +776,10 @@ def _decode_group(model: CodecModel, group: _BlockGroup, chunks, estimators,
 
 def _estimator(mode: str, seed: int):
     """estimate(table): the symbols of a missing chunk from one block of
-    its integer CDF rows, all in integer arithmetic on rows from 0 to TOTAL,
-    every width >= 1. Mode "sample" draws from its own default_rng(seed),
-    one draw per row in coding order."""
+    its integer CDF rows, a table reader as `RangeDecoder.decode_table` is,
+    all in integer arithmetic on rows from 0 to TOTAL, every width >= 1.
+    Mode "sample" draws from its own default_rng(seed), one draw per row in
+    coding order."""
     if mode not in ("mean", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)
@@ -822,11 +822,13 @@ def decode_scalable(geometry, bitstream, model: CodecModel,
                     mode: str = "mean", seed: int = 0):
     """Decode a (possibly truncated) stream; missing chunks are estimated.
 
-    Latent chunks that are absent are reconstructed from the decoder's
-    integer CDF rows of their predicted distributions (mode "mean": the
-    expectation rounded half up to a symbol; mode "sample": a seeded draw,
-    one per row in coding order). An absent F chunk yields a lossy color
-    estimate from p(F | z^1), channel-sequentially.
+    An absent chunk is estimated from the integer CDF rows a coded chunk
+    is read against, one symbol per row in coding order (mode "mean": the
+    row's expectation rounded half up; mode "sample": a seeded draw). An
+    absent colour chunk gives a lossy colour estimate from p(F | z^1),
+    channel-sequentially and in two levels: each point's coarse symbol from
+    its `lh.coarse_cdf` row, then its fine symbol from the `lh.fine_cdf` row
+    of that bucket.
     """
     estimate = _estimator(mode, seed)
     return _decode_streams(

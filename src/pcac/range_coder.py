@@ -149,36 +149,6 @@ def _uniform_table(n: int, alphabet: int):
     return np.broadcast_to(np.arange(alphabet + 1), (n, alphabet + 1))
 
 
-def encode_with_cdfs(symbols, cdfs) -> bytes:
-    """Encode symbols[i] against cdfs[i] (or a single shared 1-D cdf)."""
-    symbols = np.asarray(symbols, dtype=np.int64).reshape(-1)
-    if isinstance(cdfs, np.ndarray) and cdfs.ndim == 1:
-        _check_cdf(cdfs)
-        lo, hi = cdfs[symbols], cdfs[symbols + 1]
-    else:
-        lo, hi = [], []
-        for s, cdf in zip(symbols.tolist(), cdfs):
-            _check_cdf(cdf)
-            lo.append(int(cdf[s]))
-            hi.append(int(cdf[s + 1]))
-    enc = RangeEncoder()
-    enc.encode_spans(lo, hi)
-    return enc.finish()
-
-
-def decode_with_cdfs(data: bytes, cdfs, n: int | None = None):
-    """Decode against cdfs[i] per symbol: a table, a sequence of rows, or
-    one shared 1-D cdf for `n` symbols."""
-    dec = RangeDecoder(data)
-    if isinstance(cdfs, np.ndarray):
-        if cdfs.ndim == 1:
-            assert n is not None
-            cdfs = np.broadcast_to(cdfs, (n, len(cdfs)))
-        return dec.decode_table(cdfs)
-    return np.array([dec.decode_table(np.reshape(cdf, (1, -1)))[0]
-                     for cdf in cdfs], dtype=np.int64)
-
-
 def encode_uniform(symbols, alphabet: int) -> bytes:
     """Fixed uniform model; length approaches n*log2(alphabet) bits."""
     assert alphabet >= 2

@@ -200,11 +200,25 @@ def reference_estimate(row, mode, rng):
                 if row[m] <= target < row[m + 1])
 
 
+def reference_colour(params, mode, rng):
+    """Missing colour symbols of a block's pass in two levels: every
+    point's coarse symbol from its coarse row first, then each point's fine
+    symbol from the fine row of the bucket estimated for it."""
+    terms = lh.mixture_terms(*params)
+    coarse = np.array([reference_estimate(row, mode, rng) for row in
+                       lh.coarse_cdf(*terms, grid=lh.RGB_GRID).tolist()])
+    fine = [reference_estimate(row, mode, rng) for row in
+            lh.fine_cdf(*terms, coarse, grid=lh.RGB_GRID).tolist()]
+    return (lh.BUCKET * coarse + fine).tolist()
+
+
 @pytest.mark.parametrize("mode", ["mean", "sample"])
 def test_scalable_estimates_match_per_row_reference(model, monkeypatch, mode):
     # decode_scalable estimates each missing symbol from the decoder's own
-    # integer rows: every pass's symbols equal the per-row reference over
-    # the rows `_cdf_tables` yielded for it, with the same seeded draws
+    # integer rows, with the same seeded draws in coding order: a latent
+    # pass's symbols equal the per-row reference over the rows
+    # `_cdf_tables` yielded for it, and a colour pass's the two-level
+    # reference over its coarse and fine rows
     coords, rgb = random_block(np.random.default_rng(16), lo=150, hi=250)
     stream = codec.encode(coords, rgb, model)
     cdf_tables, top_down = codec._cdf_tables, codec._top_down
@@ -217,8 +231,8 @@ def test_scalable_estimates_match_per_row_reference(model, monkeypatch, mode):
 
         def recorded_top_down(model, maps, symbols, code_pass):
             def logged(chunk, grid, params):
-                passes.append((chunk, code_pass(chunk, grid, params)))
-                return passes[-1][1]
+                passes.append((chunk, params, code_pass(chunk, grid, params)))
+                return passes[-1][2]
             return top_down(model, maps, symbols, logged)
 
         monkeypatch.setattr(codec, "_cdf_tables", recorded_tables)
@@ -227,18 +241,45 @@ def test_scalable_estimates_match_per_row_reference(model, monkeypatch, mode):
             coords, codec.truncate_bitstream(stream, k), model, mode=mode,
             seed=5)
         rng = np.random.default_rng(5)
-        estimated = [(syms, pass_tables)
-                     for (chunk, syms), pass_tables in zip(passes, tables)
-                     if chunk >= k]
         # five passes, of chunks 1, 2, 3, 3, 3; those of chunk k and up
-        # are estimated
-        assert len(passes) == len(tables) and len(estimated) == 6 - k
-        for syms, pass_tables in estimated:
-            assert syms.tolist() == [reference_estimate(row, mode, rng)
-                                     for t in pass_tables
-                                     for row in t.tolist()]
+        # are estimated, and only the two latent passes read `_cdf_tables`
+        assert [chunk for chunk, _, _ in passes] == [1, 2, 3, 3, 3]
+        assert len(tables) == 2
+        latent_tables = iter(tables)
+        for chunk, params, syms in passes:
+            colour = chunk == CFG.num_scales
+            pass_tables = None if colour else next(latent_tables)
+            if chunk < k:
+                continue
+            if colour:
+                assert syms.tolist() == reference_colour(params, mode, rng)
+            else:
+                assert syms.tolist() == [reference_estimate(row, mode, rng)
+                                         for t in pass_tables
+                                         for row in t.tolist()]
         np.testing.assert_array_equal(out, np.stack(
-            [syms for syms, _ in estimated[-3:]], axis=1))
+            [syms for _, _, syms in passes[-3:]], axis=1))
+
+
+def test_missing_colour_chunk_builds_no_one_level_colour_rows(model,
+                                                              monkeypatch):
+    # a missing colour chunk is estimated from the coarse and fine rows a
+    # coded one is read against: no pass evaluates the 257-entry rows
+    coords, rgb = random_block(np.random.default_rng(17))
+    stream = codec.encode(coords, rgb, model)
+    pointwise, grids = lh.pointwise_cdf, []
+
+    def recorded(w, mu, s, grid, edge_index):
+        grids.append(grid)
+        return pointwise(w, mu, s, grid, edge_index)
+
+    monkeypatch.setattr(lh, "pointwise_cdf", recorded)
+    for k in (1, 2, 3):
+        for mode in ("mean", "sample"):
+            codec.decode_scalable(coords, codec.truncate_bitstream(stream, k),
+                                  model, mode=mode)
+    assert grids  # the estimated latent passes read pointwise rows
+    assert not any(grid is lh.RGB_GRID for grid in grids)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 300), st.integers(1, 70))

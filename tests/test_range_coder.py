@@ -12,35 +12,58 @@ def random_cdf(rng, m):
     return build_cdf_table(rng.dirichlet(np.ones(m)))[0]
 
 
+def encode_rows(syms, table):
+    """Bytes of coding syms[i] against row i of an integer CDF table, as
+    the codec codes a pass: one `encode_spans` call over the symbols'
+    spans."""
+    syms = np.asarray(syms, dtype=np.int64)
+    at = np.arange(len(syms))
+    enc = rc.RangeEncoder()
+    enc.encode_spans(table[at, syms], table[at, syms + 1])
+    return enc.finish()
+
+
+def shared(cdf, n):
+    """A table of `n` copies of one CDF row."""
+    return np.broadcast_to(np.asarray(cdf), (n, len(cdf)))
+
+
 def test_round_trip_single_cdf():
     rng = np.random.default_rng(0)
     cdf = random_cdf(rng, 17)
     syms = rng.integers(0, 17, size=500)
-    # one shared 1-D ndarray row codes as the same row given per symbol
-    data = rc.encode_with_cdfs(syms, np.asarray(cdf))
-    assert data == rc.encode_with_cdfs(syms, [cdf.tolist()] * len(syms))
-    back = rc.decode_with_cdfs(data, np.asarray(cdf), len(syms))
+    # one shared row codes as the same row given to each per-symbol call
+    data = encode_rows(syms, shared(cdf, len(syms)))
+    enc = rc.RangeEncoder()
+    for s in syms.tolist():
+        enc.encode_symbol(s, cdf.tolist())
+    assert data == enc.finish()
+    back = rc.RangeDecoder(data).decode_table(shared(cdf, len(syms)))
     np.testing.assert_array_equal(syms, back)
 
 
 def test_round_trip_per_symbol_cdfs():
-    # every symbol gets its own model, as in the codec
+    # every symbol gets its own model, as in the codec, and the rows differ
+    # in width: their spans code in one call, and each row reads back as a
+    # table of one row
     rng = np.random.default_rng(1)
     cdfs = [random_cdf(rng, int(rng.integers(2, 300))) for _ in range(300)]
     syms = [int(rng.integers(0, len(c) - 1)) for c in cdfs]
-    data = rc.encode_with_cdfs(syms, cdfs)
-    back = rc.decode_with_cdfs(data, cdfs)
-    assert list(back) == syms
+    enc = rc.RangeEncoder()
+    enc.encode_spans([c[s] for c, s in zip(cdfs, syms)],
+                     [c[s + 1] for c, s in zip(cdfs, syms)])
+    dec = rc.RangeDecoder(enc.finish())
+    back = [int(dec.decode_table(c[None])[0]) for c in cdfs]
+    assert back == syms
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 64), st.integers(0, 200))
 @settings(max_examples=80, deadline=None)
 def test_round_trip_property(seed, m, n):
     rng = np.random.default_rng(seed)
-    cdf = random_cdf(rng, m)
+    table = shared(random_cdf(rng, m), n)
     syms = rng.integers(0, m, size=n)
-    back = rc.decode_with_cdfs(rc.encode_with_cdfs(syms, np.asarray(cdf)),
-                               np.asarray(cdf), n)
+    back = rc.RangeDecoder(encode_rows(syms, table)).decode_table(table)
     np.testing.assert_array_equal(syms, back)
 
 
@@ -50,14 +73,14 @@ def test_skewed_source_is_near_entropy():
     p = np.array([0.9, 0.05, 0.03, 0.015, 0.005])
     n = 100_000
     syms = rng.choice(5, size=n, p=p)
-    cdf = build_cdf_table(p)[0]
-    data = rc.encode_with_cdfs(syms, np.asarray(cdf))
+    table = shared(build_cdf_table(p)[0], n)
+    data = encode_rows(syms, table)
     counts = np.bincount(syms, minlength=5) / n
     nz = counts > 0
     empirical_entropy = -(counts[nz] * np.log2(counts[nz])).sum() * n
     assert 8 * len(data) <= empirical_entropy * 1.01 + 64
-    np.testing.assert_array_equal(
-        rc.decode_with_cdfs(data, np.asarray(cdf), n), syms)
+    np.testing.assert_array_equal(rc.RangeDecoder(data).decode_table(table),
+                                  syms)
 
 
 def test_uniform_coder_length():
@@ -84,13 +107,12 @@ def test_truncated_stream_is_detected_or_padded():
     # decoding past the flush either raises CorruptStream or, for very short
     # truncations, decodes wrong symbols -- it must never hang or crash
     rng = np.random.default_rng(3)
-    cdf = np.asarray(random_cdf(rng, 26))
     syms = rng.integers(0, 26, size=400)
-    data = rc.encode_with_cdfs(syms, cdf)
-    bad = bytearray(data)
+    table = shared(random_cdf(rng, 26), len(syms))
+    bad = bytearray(encode_rows(syms, table))
     bad[10] ^= 0xFF
     try:
-        back = rc.decode_with_cdfs(bytes(bad), cdf, len(syms))
+        back = rc.RangeDecoder(bytes(bad)).decode_table(table)
         assert not np.array_equal(back, syms)
     except CorruptStream:
         pass
@@ -98,16 +120,18 @@ def test_truncated_stream_is_detected_or_padded():
 
 def test_carry_propagation():
     # many maximal symbols pushes low toward carry conditions
-    cdf = np.asarray(build_cdf_table(np.array([1 / 65536 * 2, 1 - 2 / 65536]))[0])
+    cdf = build_cdf_table(np.array([1 / 65536 * 2, 1 - 2 / 65536]))[0]
     syms = np.tile([1, 1, 1, 1, 0], 200)
-    data = rc.encode_with_cdfs(syms, cdf)
-    np.testing.assert_array_equal(rc.decode_with_cdfs(data, cdf, len(syms)), syms)
+    table = shared(cdf, len(syms))
+    np.testing.assert_array_equal(
+        rc.RangeDecoder(encode_rows(syms, table)).decode_table(table), syms)
 
 
 def test_empty_stream():
-    data = rc.encode_with_cdfs([], [])
+    table = np.zeros((0, 3), dtype=np.int64)
+    data = encode_rows([], table)
     assert len(data) == 4  # flush only
-    assert rc.decode_with_cdfs(data, [], 0).size == 0
+    assert rc.RangeDecoder(data).decode_table(table).size == 0
 
 
 def _row_kinds(table):
@@ -121,17 +145,22 @@ def _row_kinds(table):
 
 
 def test_cdf_row_types_agree():
+    # the per-symbol methods take a row as a list, a memoryview or an
+    # ndarray, and code as the table loops do
     rng = np.random.default_rng(5)
     table = build_cdf_table(rng.dirichlet(np.ones(26), size=300))
     assert table.dtype == np.int64
     syms = rng.integers(0, 26, size=300)
-    rows = _row_kinds(table)
-    streams = {kind: rc.encode_with_cdfs(syms, r) for kind, r in rows.items()}
-    assert len(set(streams.values())) == 1
-    data = streams["list"]
-    for kind, r in rows.items():
-        np.testing.assert_array_equal(rc.decode_with_cdfs(data, r), syms,
-                                      err_msg=kind)
+    data = encode_rows(syms, table)
+    for kind, rows in _row_kinds(table).items():
+        enc = rc.RangeEncoder()
+        for s, row in zip(syms.tolist(), rows):
+            enc.encode_symbol(s, row)
+        assert enc.finish() == data, kind
+        dec = rc.RangeDecoder(data)
+        assert [dec.decode_symbol(row) for row in rows] == syms.tolist(), kind
+    np.testing.assert_array_equal(rc.RangeDecoder(data).decode_table(table),
+                                  syms)
 
 
 def test_memoryview_rows_are_checked():
@@ -146,8 +175,9 @@ def test_memoryview_rows_are_checked():
             rc.RangeDecoder(b"\0" * 8).decode_symbol(row)
     # the decoder picks s with cdf[s] <= target < cdf[s + 1], so it never
     # returns a zero-width symbol
-    data = rc.encode_with_cdfs([1] * 50, [zero_width] * 50)
-    assert rc.decode_with_cdfs(data, [zero_width] * 50).tolist() == [1] * 50
+    table = shared([0, 0, 65536], 50)
+    data = encode_rows([1] * 50, table)
+    assert rc.RangeDecoder(data).decode_table(table).tolist() == [1] * 50
 
 
 def test_encode_spans_matches_encode_symbol():
@@ -156,12 +186,13 @@ def test_encode_spans_matches_encode_symbol():
     rng = np.random.default_rng(8)
     table = build_cdf_table(rng.dirichlet(np.ones(26) * 0.3, size=500))
     syms = rng.integers(0, 26, size=500)
-    rows = np.arange(500)
+    data = encode_rows(syms, table)
     enc = rc.RangeEncoder()
-    enc.encode_spans(table[rows, syms], table[rows, syms + 1])
-    data = enc.finish()
-    assert data == rc.encode_with_cdfs(syms, table)
-    np.testing.assert_array_equal(rc.decode_with_cdfs(data, table), syms)
+    for s, row in zip(syms.tolist(), table):
+        enc.encode_symbol(s, row)
+    assert data == enc.finish()
+    np.testing.assert_array_equal(rc.RangeDecoder(data).decode_table(table),
+                                  syms)
 
 
 def test_encode_spans_rejects_bad_spans():
