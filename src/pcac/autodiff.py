@@ -4,9 +4,11 @@ Nodes form a DAG; backward walks nodes in reverse construction order, which
 fixes the reduction order and makes gradients bit-reproducible. A node holds
 a float32 value as float32 and any other value as float64 (`as_float`), and
 its gradient in the same dtype. Training and the coder run the same float32
-graphs; parameters are float64 leaves, so their gradients and Adam's moments
-are float64, and each op casts them to its input's dtype. No broadcasting
-beyond what each primitive states.
+graphs, and each op casts its parameters to its input's dtype. A parameter
+holds float64 while it trains (the trainer's master copy), so its gradient
+and Adam's moments are float64; a model loaded for coding holds float32
+parameters, which the ops read without a cast. No broadcasting beyond what
+each primitive states.
 
 Adam's moment decays and epsilon are the constants `BETA1`, `BETA2` and
 `EPS`; the caller passes the learning rate of each step (the trainer's
@@ -57,7 +59,7 @@ class Node:
 class Parameter(Node):
     """Trainable leaf with Adam state; the moments `m` and `v` are allocated
     by the first `adam_step`, so a model that is never trained holds none.
-    A float64 array `value` is held as it is, not copied."""
+    A float32 or float64 array `value` is held as it is, not copied."""
 
     __slots__ = ("m", "v", "t")
 

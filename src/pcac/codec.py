@@ -26,11 +26,13 @@ Training groups its blocks on the same lattice (`prepare_groups`).
 Coding runs the encoder and decoder stacks and the mixture CDFs in
 `CODING_DTYPE` (float32), and so do training and `estimate_bits`: `block_loss`
 runs the same stacks and quantizer in the same arithmetic, and only its
-likelihood nodes compute in float64. Parameters, their gradients, Adam's
-moments, checkpoints and the digest are float64. The coder's output is
-integer CDFs, so float32 costs no rate, but a float32 stream decodes only
-where the decoder's float32 results are bit for bit the encoder's: a
-mismatch fails the span CRC as a DesyncError.
+likelihood nodes compute in float64. Checkpoints, a loaded model and the
+digest hold the float32 weights that coding reads; training keeps a float64
+master copy of them, with float64 gradients and Adam moments, and a fresh
+model draws float64. The coder's output is integer CDFs, so float32 costs
+no rate, but a float32 stream decodes only where the decoder's float32
+results are bit for bit the encoder's: a mismatch fails the span CRC as a
+DesyncError.
 """
 
 from __future__ import annotations
@@ -58,9 +60,12 @@ from .tensor_core import COORD_BITS, build_pyramid, sorted_runs
 
 MAGIC = b"MNET"
 FILE_MAGIC = b"MNEF"
-VERSION = 7
+VERSION = 8
 # the float dtype of coding: the conv stacks and the mixture CDFs
 CODING_DTYPE = np.float32
+# the dtype of a checkpoint's weights and of the digest's bytes: the values
+# coding reads (little-endian, so the digest is the same on every host)
+WEIGHT_DTYPE = np.dtype("<f4")
 
 
 class CodecModel:
@@ -95,21 +100,21 @@ class CodecModel:
         self._digest_cache = None
 
     def digest(self) -> bytes:
-        """8-byte content digest over config + all weights, order-canonical.
-
-        Each conv weight is hashed as its per-offset kernels under their
-        historical names (see `_per_offset_arrays`), so the digest, and with
-        it every stream header, is that of the per-offset weight layout."""
+        """8-byte content digest: SHA-256 of the config, the quantizer entry
+        and each parameter's name and float32 C-order bytes, in sorted name
+        order. Coding reads the float32 values, so a float64 model (fresh or
+        trained), its float32 checkpoint and every stream header coded with
+        either share one digest."""
         if self._digest_cache is not None:
             return self._digest_cache
         h = hashlib.sha256()
         h.update(json.dumps(self.config.to_dict(), sort_keys=True).encode())
         h.update(json.dumps(_quantizer_entry(self.config.num_bins),
                             sort_keys=True).encode())
-        for name, value in sorted(_per_offset_arrays(self),
-                                  key=lambda item: item[0]):
+        for name, p in sorted(self.named_parameters(),
+                              key=lambda item: item[0]):
             h.update(name.encode())
-            h.update(np.ascontiguousarray(value, dtype=np.float64))
+            h.update(np.ascontiguousarray(p.value, dtype=WEIGHT_DTYPE))
         self._digest_cache = h.digest()[:8]
         return self._digest_cache
 
@@ -122,43 +127,18 @@ def _quantizer_entry(num_bins: int) -> dict:
             "temperature": TEMPERATURE}
 
 
-def _per_offset_arrays(model: CodecModel):
-    """(name, array) of every weight in the per-offset layout: a conv's
-    `prefix.weight` of shape (K, c_in, c_out) as its kernels prefix.w00 ..
-    prefix.w{K-1}. Checkpoints written before the stacked layout store
-    exactly these arrays."""
-    for name, p in model.named_parameters():
-        prefix, _, field = name.rpartition(".")
-        if field == "weight":
-            yield from zip(_offset_names(prefix, len(p.value)), p.value)
-        else:
-            yield name, p.value
-
-
-def _offset_names(prefix: str, num_offsets: int):
-    return [f"{prefix}.w{i:02d}" for i in range(num_offsets)]
-
-
 def _stored_array(data, names, name: str, shape):
-    """Parameter `name` of a checkpoint archive holding the arrays `names`,
-    checked against `shape`; a conv weight stored per offset is stacked from
-    its kernels."""
-    prefix, _, field = name.rpartition(".")
-    if name in names:
-        return _checked(data[name], name, shape)
-    if field != "weight":
+    """Parameter `name` of a checkpoint archive holding the arrays `names`:
+    ModelMismatch unless it is there, of `shape` and of WEIGHT_DTYPE."""
+    if name not in names:
         raise ModelMismatch(f"checkpoint has no array {name!r}")
-    keys = _offset_names(prefix, shape[0])
-    missing = [k for k in keys if k not in names]
-    if missing:
-        raise ModelMismatch(f"checkpoint has no array {missing[0]!r}")
-    return np.stack([_checked(data[k], k, shape[1:]) for k in keys])
-
-
-def _checked(array, name: str, shape):
+    array = data[name]
     if array.shape != shape:
         raise ModelMismatch(f"checkpoint array {name!r} has shape "
                             f"{array.shape}, the model needs {shape}")
+    if array.dtype != WEIGHT_DTYPE:
+        raise ModelMismatch(f"checkpoint array {name!r} has dtype "
+                            f"{array.dtype}, not {WEIGHT_DTYPE}")
     return array
 
 
@@ -182,7 +162,7 @@ class _Undrawn:
 
     @staticmethod
     def uniform(low, high, size):
-        return np.empty(size)
+        return np.empty(size, dtype=np.float32)
 
 
 def _read_checkpoint(f):
@@ -201,40 +181,42 @@ def _read_checkpoint(f):
         model._build(config, _Undrawn())
         for name, p in model.named_parameters():
             p.value = np.ascontiguousarray(
-                _stored_array(data, names, name, p.value.shape),
-                dtype=np.float64)
+                _stored_array(data, names, name, p.value.shape))
         model.mark_dirty()
     return model, meta
 
 
 @dataclass
 class ModelCheckpoint:
-    """A model and its metadata in one .npz archive: one array per parameter
-    (a conv weight as one (K, c_in, c_out) array), stored uncompressed, plus
-    JSON metadata with the config, quantizer and weight digest."""
+    """A model and its metadata in one .npz archive: one float32 array per
+    parameter (a conv weight as one (K, c_in, c_out) array), stored
+    uncompressed, plus JSON metadata with the config, quantizer and weight
+    digest."""
 
     model: CodecModel
     metadata: dict = field(default_factory=dict)
 
     def save(self, path):
-        arrays = {name: p.value for name, p in self.model.named_parameters()}
+        arrays = {name: np.asarray(p.value, dtype=WEIGHT_DTYPE)
+                  for name, p in self.model.named_parameters()}
         meta = dict(self.metadata)
         meta["config"] = self.model.config.to_dict()
         meta["quantizer"] = _quantizer_entry(self.model.config.num_bins)
         meta["digest"] = self.model.digest().hex()
-        # uncompressed, as the weights are float64 noise; through a file, as
-        # np.savez appends ".npz" to a bare path
+        # the float32 values coding reads, uncompressed, as they are float
+        # noise; through a file, as np.savez appends ".npz" to a bare path
         with open(path, "wb") as f:
             np.savez(f, __meta__=json.dumps(meta, sort_keys=True), **arrays)
 
     @classmethod
     def load(cls, path) -> "ModelCheckpoint":
-        """Read a checkpoint, stacked or per-offset layout, compressed or not;
-        a cut or foreign file (an archive offset out of the file included),
-        an archive feature zipfile does not support, bad metadata or a
-        missing or misshapen array raise ModelMismatch, and weights that do
-        not match the stored digest raise DigestMismatch. A file that cannot
-        be opened raises OSError."""
+        """Read a checkpoint, compressed or not, into a model that holds its
+        float32 weights as they are stored. A cut or foreign file (an archive
+        offset out of the file included), an archive feature zipfile does
+        not support, bad metadata, or a missing, misshapen or non-float32
+        array (a float64 checkpoint of VERSION 7 or before included) raise
+        ModelMismatch, and weights that do not match the stored digest raise
+        DigestMismatch. A file that cannot be opened raises OSError."""
         with open(path, "rb") as f:
             try:
                 model, meta = _read_checkpoint(f)

@@ -267,8 +267,10 @@ class SparseConv:
         rows in offset order, group by group; the backward pass does the
         same into input rows. The weight gradient is zero at offsets the
         map does not use. It computes in the dtype of `x`, the weights cast
-        to it on each call (free for float64), never cached in another
-        dtype; the input gradient takes the upstream gradient's dtype.
+        to it on each call (free when they already hold that dtype, as a
+        loaded model's float32 weights do for coding), never cached in
+        another dtype; the input gradient takes the upstream gradient's
+        dtype.
         """
         if x.value.shape[1] != self.c_in:
             raise ShapeMismatch(

@@ -68,8 +68,13 @@ def train(blocks, config: TrainConfig | None = None,
     training block's. Each epoch shuffles whole groups into batches of at
     most `batch_size` blocks and divides a batch's gradient by its block
     count. Fully deterministic for a given seed, which fixes the validation
-    split, the groups and each epoch's shuffle. `max_epochs` and
-    `batch_size` below 1 raise ValueError.
+    split, the groups and each epoch's shuffle, at a fixed BLAS thread
+    count: the weight gradients' float32 sums can change with it (ROADMAP
+    item 10). `max_epochs` and `batch_size` below 1 raise ValueError.
+
+    The run trains a float64 master copy of the weights, with float64
+    Adam moments: a loaded model's float32 weights are promoted in place,
+    and a fresh model already draws float64.
     """
     config = config or TrainConfig()
     if config.max_epochs < 1 or config.batch_size < 1:
@@ -95,6 +100,8 @@ def train(blocks, config: TrainConfig | None = None,
         val = tr
 
     params = model.parameters()
+    for p in params:
+        p.value = p.value.astype(np.float64, copy=False)
     best = None  # (val_bits_per_point, epoch, weights)
     bad_epochs = 0
     start = time.monotonic()

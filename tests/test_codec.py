@@ -24,6 +24,9 @@ from pcac.errors import (ChecksumFailure, CorruptStream, DesyncError,
                          ShapeMismatch, SymbolOutOfRange)
 from pcac.sparse_nn import ModelConfig, SparseConv
 from pcac.tensor_core import build_pyramid, sort_coords
+from test_golden import CFG as GOLDEN_CFG
+from test_golden import block as golden_block
+from test_golden import file_blocks as golden_file_blocks
 
 CFG = ModelConfig(hidden=8, res_blocks=1, mixtures=2)
 
@@ -707,6 +710,12 @@ MALFORMED_CHECKPOINT = {
     "negative res-blocks": lambda a: a["__meta__"]["config"].update(
         res_blocks=-1),
     "fractional size": lambda a: a["__meta__"]["config"].update(hidden=8.5),
+    # arrays whose values are the saved float32 values, so that only their
+    # dtype is wrong: float64, as files before VERSION 8 held, and integer
+    "float64 weight": lambda a: a.update(
+        {"enc1.head.weight": a["enc1.head.weight"].astype(np.float64)}),
+    "integer weight": lambda a: a.update(
+        {"dec1.to_params.bias": a["dec1.to_params.bias"].astype(np.int64)}),
 }
 
 # edits of a checkpoint file's bytes -> ModelMismatch
@@ -736,63 +745,64 @@ def test_malformed_checkpoint_raises_model_mismatch(tmp_path, model, case):
         codec.ModelCheckpoint.load(path)
 
 
-def per_offset_layout(model):
-    """A model's arrays as checkpoints stored them before conv weights were
-    stacked: one (c_in, c_out) array prefix.wNN per kernel offset."""
-    arrays = {}
-    for name, p in model.named_parameters():
-        if name.endswith(".weight"):
-            prefix = name[:-len(".weight")]
-            for i, kernel in enumerate(p.value):
-                arrays[f"{prefix}.w{i:02d}"] = kernel
-        else:
-            arrays[name] = p.value
-    return arrays
-
-
 def quantizer_entry(model):
     """The quantizer entry of checkpoints and the digest."""
     return {"num_bins": model.config.num_bins, "lo": -1.0, "hi": 1.0,
             "temperature": 1.0}
 
 
-def per_offset_digest(model):
-    """The digest as it was defined over the per-offset arrays."""
+def test_digest_hashes_the_float32_weights(model):
+    # SHA-256 of the config, the quantizer entry and each parameter's name
+    # and little-endian float32 bytes, in sorted name order
     h = hashlib.sha256()
     h.update(json.dumps(model.config.to_dict(), sort_keys=True).encode())
     h.update(json.dumps(quantizer_entry(model), sort_keys=True).encode())
-    for name, value in sorted(per_offset_layout(model).items()):
+    for name, p in sorted(model.named_parameters(), key=lambda item: item[0]):
         h.update(name.encode())
-        h.update(np.ascontiguousarray(value, dtype=np.float64).tobytes())
-    return h.digest()[:8]
+        h.update(p.value.astype("<f4").tobytes())
+    assert model.digest() == h.digest()[:8]
+    # a float64 change that float32 rounding drops is one coding cannot see
+    p = model.parameters()[0]
+    saved = p.value.copy()
+    p.value[0, 0, 0] = np.float32(saved[0, 0, 0])
+    assert p.value[0, 0, 0] != saved[0, 0, 0]
+    model.mark_dirty()
+    assert model.digest() == h.digest()[:8]
+    p.value[...] = saved
+    model.mark_dirty()
 
 
-def test_per_offset_checkpoint_loads(tmp_path, model):
-    # the digest, and so every stream header, is the per-offset layout's
-    assert model.digest() == per_offset_digest(model)
-    arrays = per_offset_layout(model)
-    meta = {"config": model.config.to_dict(),
-            "quantizer": quantizer_entry(model),
-            "digest": per_offset_digest(model).hex(), "note": "old"}
-    path = tmp_path / "old.npz"
-    np.savez_compressed(path, __meta__=json.dumps(meta, sort_keys=True),
-                        **arrays)
-    loaded = codec.ModelCheckpoint.load(path)
-    assert loaded.metadata == {"note": "old"}
-    assert loaded.model.digest() == model.digest()
-    for (name, p), (_, q) in zip(model.named_parameters(),
-                                 loaded.model.named_parameters()):
-        np.testing.assert_array_equal(p.value, q.value, err_msg=name)
-    rng = np.random.default_rng(13)
-    coords, rgb = random_block(rng)
-    assert codec.encode(coords, rgb, loaded.model) == \
-        codec.encode(coords, rgb, model)
-    # a missing or misshapen kernel is a model mismatch too
-    kernel = arrays.pop("enc2.head.w05")
-    for broken in (arrays, {**arrays, "enc2.head.w05": kernel[:1]}):
-        np.savez_compressed(path, __meta__=json.dumps(meta), **broken)
-        with pytest.raises(ModelMismatch):
-            codec.ModelCheckpoint.load(path)
+def test_checkpoint_is_the_float32_values_coding_reads(tmp_path):
+    # a fresh float64 model, the same after one epoch of training, and the
+    # save -> load copy of each: every pair has one digest and codes the
+    # golden blocks to the same bytes, from float32 arrays in a file about
+    # half the float64 parameter bytes
+    coords, rgb = golden_block("small")
+    blocks = golden_file_blocks()
+    trained = trainer.train([(coords, rgb)], trainer.TrainConfig(max_epochs=1),
+                            model=codec.CodecModel(GOLDEN_CFG, seed=3)).model
+    for i, model in enumerate((codec.CodecModel(GOLDEN_CFG, seed=3),
+                               trained)):
+        assert {p.value.dtype for p in model.parameters()} == \
+            {np.dtype(np.float64)}
+        path = tmp_path / f"model{i}.npz"
+        codec.ModelCheckpoint(model).save(path)
+        copy = codec.ModelCheckpoint.load(path).model
+        with np.load(path) as data:
+            weights = [data[k] for k in data.files if k != "__meta__"]
+        assert len(weights) == len(model.parameters())
+        assert {w.dtype for w in weights} == {np.dtype(np.float32)}
+        assert path.stat().st_size <= 0.55 * sum(
+            p.value.nbytes for p in model.parameters())
+        assert {p.value.dtype for p in copy.parameters()} == \
+            {np.dtype(np.float32)}
+        assert copy.digest() == model.digest()
+        stream = codec.encode(coords, rgb, model)
+        assert codec.encode(coords, rgb, copy) == stream
+        np.testing.assert_array_equal(codec.decode(coords, stream, copy),
+                                      rgb[sort_coords(coords)])
+        assert codec.encode_blocks(blocks, copy) == \
+            codec.encode_blocks(blocks, model)
 
 
 def test_digest_tracks_weight_changes(model):
@@ -995,10 +1005,11 @@ def test_scalable_file_decode_is_valid_and_repeatable(model, mode):
 
 
 def test_version_5_stream_or_file_is_unsupported(model, coded):
-    # and version 6, whose colour chunk is one-level
+    # and version 6, whose colour chunk is one-level, and version 7, whose
+    # digest hashes float64 weights
     coords, stream, data = coded
-    assert codec.VERSION == 7
-    for version in (5, 6):
+    assert codec.VERSION == 8
+    for version in (5, 6, 7):
         old = stream[:4] + bytes([version]) + stream[5:]
         with pytest.raises(CorruptStream, match="unsupported version"):
             codec.decode(coords, old, model)

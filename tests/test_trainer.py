@@ -99,9 +99,9 @@ def test_single_block_training_reuses_validation_pass(monkeypatch):
 def test_coding_and_training_run_float32_stacks(monkeypatch):
     # coding's and block_loss's conv outputs are float32, the likelihood
     # nodes' values float64, and parameters and Adam's moments stay float64;
-    # one training epoch on the golden "small" block gives the digest and
-    # loss recorded when training moved to float32 stacks (float64 stacks
-    # gave cd806910cac91f52 and 55.589506488719806)
+    # one training epoch on the golden "small" block gives the loss recorded
+    # when training moved to float32 stacks (float64 stacks gave
+    # 55.589506488719806) and the digest of the weights it reaches
     dtypes = []
     conv = sparse_nn.SparseConv.__call__
 
@@ -144,7 +144,7 @@ def test_coding_and_training_run_float32_stacks(monkeypatch):
     assert all(p.m.dtype == p.v.dtype == np.float64 for p in params
                if p.m is not None)
     assert any(p.m is not None for p in params)
-    assert ckpt.model.digest().hex() == "2bd00c1cc17ee133"
+    assert ckpt.model.digest().hex() == "7d3a7da0bfbfce3a"
     assert ckpt.metadata["val_bits_per_point"] == 55.589506489068135
 
 
@@ -329,3 +329,39 @@ def test_multi_block_training_is_repeatable():
         return ckpt.model.digest(), ckpt.metadata["val_bits_per_point"]
 
     assert run() == run()
+
+
+def test_training_from_a_checkpoint_trains_its_float32_values(tmp_path,
+                                                              monkeypatch):
+    # a loaded model holds float32 weights; training promotes them to a
+    # float64 master copy, with float64 Adam moments, and its first epoch is
+    # that of a fresh model rounded to float32 by hand
+    coords, rgb = golden_block("small")
+    path = tmp_path / "model.npz"
+    codec.ModelCheckpoint(codec.CodecModel(GOLDEN_CFG, seed=3)).save(path)
+    loaded = codec.ModelCheckpoint.load(path).model
+    assert {p.value.dtype for p in loaded.parameters()} == \
+        {np.dtype(np.float32)}
+    steps = []
+    adam = trainer.adam_step
+
+    def spy(params, lr):
+        adam(params, lr)
+        steps.append({a.dtype for p in params if p.m is not None
+                      for a in (p.value, p.grad, p.m, p.v)})
+
+    monkeypatch.setattr(trainer, "adam_step", spy)
+    config = trainer.TrainConfig(max_epochs=1)
+    ckpt = trainer.train([(coords, rgb)], config, model=loaded)
+    monkeypatch.undo()
+    assert steps and all(dtypes == {np.dtype(np.float64)} for dtypes in steps)
+    assert {p.value.dtype for p in ckpt.model.parameters()} == \
+        {np.dtype(np.float64)}
+
+    rounded = codec.CodecModel(GOLDEN_CFG, seed=3)
+    for p in rounded.parameters():
+        p.value = p.value.astype(np.float32).astype(np.float64)
+    reference = trainer.train([(coords, rgb)], config, model=rounded)
+    assert ckpt.metadata["val_bits_per_point"] == \
+        reference.metadata["val_bits_per_point"]
+    assert ckpt.model.digest() == reference.model.digest()
